@@ -18,16 +18,13 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .conjugate import Lagrangian, k_inverse
 from .errors import LdpError, ValidationError
-from .fields import FieldHistory
 from .hamiltonian import Hamiltonian
-from .hj import HJGrid, lax_oleinik_field, solve_hj, solve_hj_constrained
+from .hj import HJGrid, solve_hj, solve_hj_constrained
 from .kernels import load_kernel
 from .pde import (SimConfig, SweepRecord, fit_rate, run_sweep, simulate)
-from .rate import lax_oleinik, predict_log_bound, rate_iinf
+from .rate import lax_oleinik, rate_iinf
 
 _FMT = "{:.12g}"
 
@@ -257,7 +254,7 @@ def _build_parser():
                            help="path to a kernel spec (JSON)")
         p.add_argument("--out", default=None, help="output CSV path")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized sampling")
+                       help="accepted and ignored: nothing is random")
 
     p = sub.add_parser("hamiltonian", help="evaluate H(p)")
     common(p)
@@ -317,7 +314,6 @@ def main(argv=None):
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
-        np.random.seed(args.seed)
         args.fn(args)
     except ValidationError as e:
         json.dump({"error": type(e).__name__, "message": str(e)},

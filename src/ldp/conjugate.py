@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import (BelowRange, NonConvergence, UnsupportedKernel,
-                     ValidationError)
-from .hamiltonian import Hamiltonian
-from .kernels import CompactTail, CriticalTail, IntermediateTail
+from .errors import (BelowRange, DomainViolation, NonConvergence,
+                     UnsupportedKernel, ValidationError)
+from .hamiltonian import HTable, Hamiltonian, first_reach
+from .kernels import CompactTail, CriticalTail
 
 _MAX_ITER = 200
 
@@ -247,12 +246,14 @@ class Lagrangian:
 
 
 class TabulatedLagrangian:
-    """L(q) on a 1-D range via tables of H and the monotone map H'.
+    """L(q) on a 1-D range via one table of H and the monotone map H'.
 
     The stationarity equation DH(p) = q is inverted by linear interpolation
     on a dense table of H'; since L is the Legendre transform, the envelope
     property makes L(q) = p q - H(p) first-order insensitive to the error in
     the recovered p, so table accuracy carries over to L almost unharmed.
+    The table spans the slopes p with |H'(p)| up to q_max (or the domain
+    edge); q outside the range of H' it holds raises DomainViolation.
     Intended for bulk evaluations (reference fields); build cost is the
     table, every call afterwards is O(log n).
     """
@@ -260,36 +261,25 @@ class TabulatedLagrangian:
     def __init__(self, h: Hamiltonian, q_max, points=4001):
         if h.dimension != 1:
             raise ValidationError("tabulated Lagrangian is 1-D only")
-        self.h = h
         lo, hi = _inner_bounds(h.domain)
-        p_hi = min(1.0, hi)
-        for _ in range(200):
-            if h.grad_1d(p_hi) >= q_max or p_hi >= hi:
-                break
-            p_hi = (hi - (hi - p_hi) * 0.5) if math.isfinite(hi) \
-                else 2 * p_hi
-        else:
-            raise NonConvergence("H' never reaches the requested slope")
-        p_lo = max(-1.0, lo)
-        for _ in range(200):
-            if h.grad_1d(p_lo) <= -q_max or p_lo <= lo:
-                break
-            p_lo = (lo + (p_lo - lo) * 0.5) if math.isfinite(lo) \
-                else 2 * p_lo
-        else:
-            raise NonConvergence("H' never reaches the requested slope")
-        self.ps = np.linspace(p_lo, p_hi, points)
-        self.Hv = np.array([float(h.value(p)) for p in self.ps])
-        self.Hg = np.array([h.grad_1d(p) for p in self.ps])
+        p_hi = first_reach(h, +1.0, hi, lambda H, G: G >= q_max)
+        p_lo = -first_reach(h, -1.0, -lo, lambda H, G: G <= -q_max)
+        # the knot p = 0 gives H(0), and with it the bound L >= -H(0)
+        self.tab = HTable(h, np.union1d(np.linspace(p_lo, p_hi, points),
+                                        [0.0]))
+        self._floor = -float(self.tab.Hv[self.tab.ps == 0.0][0])
 
     def __call__(self, q) -> float:
         q = float(q)
-        p = float(np.interp(q, self.Hg, self.ps))
-        Hp = float(np.interp(p, self.ps, self.Hv))
-        val = p * q - Hp
-        # beyond the tabulated slope range the supremum sits at the table
-        # edge, which is only reached when q_max was chosen too small
-        return max(val, 0.0) if self.h.value(0) <= 0 else val
+        tab = self.tab
+        if not tab.Hg[0] <= q <= tab.Hg[-1]:
+            raise DomainViolation(
+                f"q={q} outside the tabulated range [{tab.Hg[0]:.6g}, "
+                f"{tab.Hg[-1]:.6g}]; build the table with a larger q_max")
+        p = float(np.interp(q, tab.Hg, tab.ps))
+        Hp = float(np.interp(p, tab.ps, tab.Hv))
+        # the interpolant lies above H: p q - Hp may undershoot -H(0)
+        return max(p * q - Hp, self._floor)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +327,9 @@ def k_transform(kernel, p) -> ConjugateResult:
     resid = max(0.0, -neg_phi(r0) -
                 max(-neg_phi(r0 + eps), -neg_phi(max(r0 - eps, 0.0))))
     return ConjugateResult(
-        value=val, argmax=r0 * phat, residual=abs(resid), iterations=it_count(res),
+        value=val, argmax=r0 * phat, residual=abs(resid),
+        iterations=int(getattr(res, "nit", 0) or 0),
         hit_domain_boundary=False)
-
-
-def it_count(res):
-    return int(getattr(res, "nit", 0) or 0)
 
 
 def k_inverse(kernel, z, tol=1e-12):

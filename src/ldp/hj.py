@@ -20,11 +20,12 @@ The scheme follows Osher & Shu (SIAM J. Numer. Anal. 28, 1991):
   It is strong-stability-preserving with coefficient 1, so each stage
   obeys the step bound of a single Euler step.
 
-H is tabulated on a finite slope range [p_min, p_max] and held constant
-beyond it, which clamps the slopes fed to H; the clamp only modifies the
-transient layer emanating from the boundary discontinuity, not the
-solution at the requested snapshot times, because the clamped Hamiltonian
-agrees with H on every slope the exact solution takes there.
+H is tabulated (one batched HTable) on a finite slope range
+[p_min, p_max] and held constant beyond it, which clamps the slopes fed
+to H; the clamp only modifies the transient layer emanating from the
+boundary discontinuity, not the solution at the requested snapshot times,
+because the clamped Hamiltonian agrees with H on every slope the exact
+solution takes there.  Tables of H and H' also find that range.
 
 The time step is dt = 0.9 h / max |H'| over the slopes currently sampled,
 with H' that of the tabulated (piecewise-linear) H, the flux the scheme
@@ -45,7 +46,7 @@ correct initial trace min(A, beta0 dist(x)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import CFLViolation, DomainViolation, NonConvergence, \
     ValidationError
 from .fields import Field, FieldHistory
-from .hamiltonian import Hamiltonian
+from .hamiltonian import HTable, Hamiltonian, first_reach
 
 _CFL = 0.9             # dt * max|H'| / h, per Euler stage
 _TABLE_SIZE = 2001
@@ -86,85 +87,28 @@ class HJGrid:
         return np.linspace(-1.0, 1.0, self.n + 2)
 
 
-def _slope_cap(h: Hamiltonian, side, bound, speed_target, value_target):
-    """Smallest |p| (of given sign) with |H'(p)| >= speed_target and
-    H(p) >= value_target, capped at `bound`.
-
-    Clamping slopes to [-cap, cap] makes the boundary jump in the initial
-    data erode at rate H(cap) instead of resolving instantly, so H(cap)
-    must dominate A / t_first; the fan it leaves behind moves at speeds up
-    to H'(cap), which must cover the slopes present at the first snapshot.
-    """
-    def good(p):
-        return (abs(h.grad_1d(side * p)) >= speed_target
-                and float(h.value(side * p)) >= value_target)
-
-    lo, hi = 0.0, min(1.0, bound)
-    for _ in range(200):
-        if good(hi):
-            break
-        lo = hi
-        if math.isfinite(bound):
-            hi = bound - (bound - hi) * 0.5
-            if bound - hi <= _EDGE_MARGIN * max(1.0, bound):
-                return bound
-        else:
-            hi *= 2
-            if hi > 1e8:
-                raise NonConvergence("H' never reaches the target speed")
-    else:
-        return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if good(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-class _Tabulated:
-    """Piecewise-linear table of H on [pmin, pmax].
-
-    A dense uniform core covers [core_min, core_max] -- the slopes the
+def _table_knots(pmin, pmax, core_min, core_max):
+    """A dense uniform core covers [core_min, core_max] -- the slopes the
     solution actually takes at the requested snapshot times, where
     interpolation error feeds directly into the answer.  Beyond the core,
     knots grow geometrically out to the clamp range: those slopes occur
     only inside the transient layer shed by the boundary discontinuity,
-    where a ~0.1% relative flux error is harmless.
-    """
-
-    def __init__(self, h: Hamiltonian, pmin, pmax, core_min=None,
-                 core_max=None):
-        if core_min is None:
-            core_min = pmin
-        if core_max is None:
-            core_max = pmax
-        core_min = max(core_min, pmin)
-        core_max = min(core_max, pmax)
-        knots = [np.linspace(core_min, core_max, _TABLE_SIZE)]
-        for edge, side in ((pmax, +1.0), (pmin, -1.0)):
-            base = core_max if side > 0 else -core_min
-            tail = side * edge
-            if tail > base + 1e-12:
-                start = max(base, 1e-3 * tail)
-                m = int(math.ceil(math.log(tail / start) / math.log(1.05)))
-                knots.append(side * start * 1.05 ** np.arange(1, m))
-                knots.append(np.array([edge]))
-        self.ps = np.unique(np.concatenate(knots))
-        self.Hv = np.array([float(h.value(p)) for p in self.ps])
-        # H' of the interpolant, one value per cell; nondecreasing, since
-        # H is convex
-        self.slopes = np.diff(self.Hv) / np.diff(self.ps)
-
-    def speed(self, lo, hi):
-        """max |H'| of the interpolant over the slopes in [lo, hi]."""
-        cells = np.searchsorted(self.ps, (lo, hi)) - 1
-        np.clip(cells, 0, len(self.slopes) - 1, out=cells)
-        return float(np.max(np.abs(self.slopes[cells])))
+    where a ~0.1% relative flux error is harmless."""
+    core_min = max(core_min, pmin)
+    core_max = min(core_max, pmax)
+    knots = [np.linspace(core_min, core_max, _TABLE_SIZE)]
+    for edge, side in ((pmax, +1.0), (pmin, -1.0)):
+        base = core_max if side > 0 else -core_min
+        tail = side * edge
+        if tail > base + 1e-12:
+            start = max(base, 1e-3 * tail)
+            m = int(math.ceil(math.log(tail / start) / math.log(1.05)))
+            knots.append(side * start * 1.05 ** np.arange(1, m))
+            knots.append(np.array([edge]))
+    return np.unique(np.concatenate(knots))
 
 
-def _march(tab: _Tabulated, grid: HJGrid, sweep_beta=None):
+def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
     h = grid.h
     pstar = tab.ps[np.argmin(tab.Hv)]
     d2 = np.zeros(grid.n + 2)   # second differences; none at the boundary
@@ -251,15 +195,23 @@ def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
         raise DomainViolation(
             "initial data implies slopes outside dom(H); use "
             "solve_hj_constrained for gradient-constrained Hamiltonians")
+    # Clamping slopes to [-cap, cap] makes the boundary jump in the initial
+    # data erode at rate H(cap) instead of resolving instantly, so H(cap)
+    # must dominate A / t_first; the fan it leaves behind moves at speeds
+    # up to H'(cap), which must cover the slopes present at the first
+    # snapshot.  Each cap is the smallest |p| meeting its targets.
     speed_target = 8.0 / t_first
     value_target = 2000.0 * grid.A / t_first
-    cap_hi = hi * (1 - _EDGE_MARGIN) if math.isfinite(hi) else math.inf
-    cap_lo = -lo * (1 - _EDGE_MARGIN) if math.isfinite(lo) else math.inf
-    pmax = _slope_cap(h, +1.0, cap_hi, speed_target, value_target)
-    pmin = -_slope_cap(h, -1.0, cap_lo, speed_target, value_target)
-    core_max = _slope_cap(h, +1.0, cap_hi, speed_target, -math.inf)
-    core_min = -_slope_cap(h, -1.0, cap_lo, speed_target, -math.inf)
-    tab = _Tabulated(h, pmin, pmax, core_min, core_max)
+    caps = {}
+    for side, bound in ((+1.0, hi), (-1.0, -lo)):
+        bound *= 1 - _EDGE_MARGIN
+        core = first_reach(h, side, bound,
+                           lambda H, G: np.abs(G) >= speed_target)
+        full = first_reach(h, side, bound, lambda H, G: (
+            np.abs(G) >= speed_target) & (H >= value_target))
+        caps[side] = side * core, side * full
+    (core_max, pmax), (core_min, pmin) = caps[+1.0], caps[-1.0]
+    tab = HTable(h, _table_knots(pmin, pmax, core_min, core_max))
     fields = _march(tab, grid)
     return FieldHistory(fields=fields, meta={
         "scheme": "eno2-godunov-heun", "n": grid.n, "A": grid.A,
@@ -278,19 +230,11 @@ def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
     # while the rarefaction fan from the boundary is exact inside its
     # reach; both effects stay well below the verification tolerances.
     value_cap = max(5.0, abs(float(h.value(0.8 * beta0))))
-    pmax = edge
-    lo, hi = 0.0, edge
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if abs(float(h.value(mid))) < value_cap:
-            lo = mid
-        else:
-            hi = mid
-    pmax = 0.5 * (lo + hi)
+    pmax = first_reach(h, +1.0, edge, lambda H, G: np.abs(H) >= value_cap)
     pmin = -pmax
     if math.isfinite(h.domain[0]):
         pmin = max(pmin, h.domain[0] * (1 - _EDGE_MARGIN))
-    tab = _Tabulated(h, pmin, pmax)
+    tab = HTable(h, np.linspace(pmin, pmax, _TABLE_SIZE))
     fields = _march(tab, grid, sweep_beta=beta0)
     return FieldHistory(fields=fields, meta={
         "scheme": "eno2-godunov-heun+lipschitz", "n": grid.n, "A": grid.A,

@@ -38,9 +38,7 @@ class CompactTail:
 
 @dataclass(frozen=True)
 class IntermediateTail:
-    # omega(r) = -ln J(r) / r along rays, superlinear growth witness
-    omega: Callable[[np.ndarray], np.ndarray]
-    eta: float = 1.0
+    """Unbounded support, yet -ln J(r) / r grows without bound."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +63,7 @@ class Kernel:
     support: tuple                      # 1-D interval / radial (-R, R)
     p_domain: tuple                     # finiteness interval of p -> int e^{py} J
     scale: float = 1.0
+    jumps: tuple = ()                   # N == 1: points where J jumps or kinks
 
     def density(self, y):
         """Evaluate J at points y (scalar, 1-D array, or (m, N) array)."""
@@ -90,10 +89,6 @@ class Kernel:
     @property
     def is_critical(self):
         return isinstance(self.tail, CriticalTail)
-
-    @property
-    def is_intermediate(self):
-        return isinstance(self.tail, IntermediateTail)
 
 
 _FAMILIES = {
@@ -153,6 +148,7 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
             singularity_exponent=0.0, rho0=1.0 if rho0 is None else rho0,
             tail=CriticalTail(beta0=1.0), mass=1.0,
             support=(-math.inf, 1.0), p_domain=(-1.0, math.inf),
+            jumps=(0.0, 1.0),
         )
         _require(0 < k.rho0 <= 1.0, "rho0 must lie in (0, 1] for this kernel")
         return k
@@ -208,7 +204,8 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
                               s=0.0, support_radius=rho,
                               rho0=rho / 2 if rho0 is None else rho0,
                               tail=CompactTail(rho=rho), mass=total,
-                              p_domain=(-math.inf, math.inf))
+                              p_domain=(-math.inf, math.inf),
+                              jump_radii=(a, b) if a < b and f != 1 else ())
 
     if family == "exp_power":
         _check_params(family, params, ("alpha",), ("alpha",))
@@ -223,9 +220,6 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
             r = np.asarray(r, dtype=float)
             return -np.abs(r) ** alpha
 
-        def omega(r):
-            return np.abs(r) ** (alpha - 1.0)
-
         if dimension == 1:
             mass = 2 * _gamma(1 + 1 / alpha)
         else:
@@ -233,7 +227,7 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
         return _radial_kernel(family, dimension, params, radial, log_radial,
                               s=0.0, support_radius=math.inf,
                               rho0=1.0 if rho0 is None else rho0,
-                              tail=IntermediateTail(omega=omega), mass=mass,
+                              tail=IntermediateTail(), mass=mass,
                               p_domain=(-math.inf, math.inf))
 
     if family == "exp_linear":
@@ -267,10 +261,6 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
             r = np.asarray(r, dtype=float)
             return -np.exp(np.minimum(np.abs(r), 700.0))
 
-        def omega(r):
-            r = np.abs(np.asarray(r, dtype=float))
-            return np.exp(r) / np.maximum(r, 1e-300)
-
         if dimension == 1:
             mass = 2 * quad(lambda r: math.exp(-math.exp(r)), 0, 40)[0]
         else:
@@ -279,7 +269,7 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
         return _radial_kernel(family, dimension, params, radial, log_radial,
                               s=0.0, support_radius=math.inf,
                               rho0=1.0 if rho0 is None else rho0,
-                              tail=IntermediateTail(omega=omega), mass=mass,
+                              tail=IntermediateTail(), mass=mass,
                               p_domain=(-math.inf, math.inf))
 
     if family == "tempered_stable":
@@ -310,7 +300,7 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
 
 
 def _radial_kernel(family, dimension, params, radial, log_radial, s,
-                   support_radius, rho0, tail, mass, p_domain):
+                   support_radius, rho0, tail, mass, p_domain, jump_radii=()):
     _require(rho0 > 0, "rho0 must be positive")
     if math.isfinite(support_radius):
         _require(rho0 <= support_radius,
@@ -331,6 +321,9 @@ def _radial_kernel(family, dimension, params, radial, log_radial, s,
         symmetric=True, singularity_exponent=s, rho0=rho0, tail=tail,
         mass=mass, support=(-support_radius, support_radius),
         p_domain=p_domain,
+        jumps=tuple(sorted({sign * r for r in jump_radii
+                            for sign in (-1.0, 1.0)}))
+        if dimension == 1 else (),
     )
 
 
@@ -387,16 +380,6 @@ def load_kernel(path):
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-def log_weight_omega(kernel, y):
-    """omega(y) = -ln J(y) / |y| where J(y) > 0."""
-    y = np.asarray(y, dtype=float)
-    J = kernel.density(y)
-    r = np.abs(y) if kernel.dimension == 1 else np.linalg.norm(
-        np.atleast_2d(y), axis=-1)
-    with np.errstate(divide="ignore"):
-        return -np.log(J) / r
-
-
 def levy_integral(kernel, inner=1e-8, outer=None):
     """Numerical check of int min(1, |y|^2) J(y) dy (finite for every
     shipped kernel; the value is a diagnostic, not a normalization)."""
@@ -424,27 +407,6 @@ def levy_integral(kernel, inner=1e-8, outer=None):
     if hi > 1.0:
         val += quad(g, 1.0, hi, limit=200)[0]
     return surf * val
-
-
-def exponential_moment(kernel, beta, outer):
-    """int_{rho0/2 < |y| < outer} e^{beta |y|} J(y) dy (radial kernels).
-
-    Used to probe the critical threshold beta0: the value stays bounded in
-    `outer` when beta < beta0 and diverges when beta > beta0.
-    """
-    radial = kernel.radial_density
-    _require(radial is not None, "exponential moment probe is radial-only")
-    N = kernel.dimension
-    surf = 2.0 if N == 1 else 2 * math.pi
-    hi = min(outer, kernel.support[1])
-
-    def g(r):
-        w = r if N == 2 else 1.0
-        return math.exp(beta * r) * float(radial(r)) * w
-
-    if hi <= kernel.rho0 / 2:
-        return 0.0
-    return surf * quad(g, kernel.rho0 / 2, hi, limit=400)[0]
 
 
 def tail_reach(kernel, tol=1e-16):

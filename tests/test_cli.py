@@ -56,6 +56,14 @@ def test_validation_error_exit_code(compact_spec, capsys):
     assert err["error"] == "BelowRange"
 
 
+def test_scalar_p_for_2d_kernel_exit_code(kernel_spec_path, capsys):
+    spec = kernel_spec_path({"family": "compact_uniform", "dimension": 2,
+                             "params": {"rho": 1.0}}, "compact_2d.json")
+    assert main(["hamiltonian", "--kernel", spec, "--p", "2.0"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+
+
 def test_unsupported_kernel_exit_code(kernel_spec_path, capsys):
     demo = kernel_spec_path({"family": "asymmetric_1d_demo"}, "demo.json")
     assert main(["kinv", "--kernel", demo, "--z", "1"]) == 3

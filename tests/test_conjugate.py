@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldp import (BelowRange, Hamiltonian, Lagrangian, TabulatedLagrangian,
-                 UnsupportedKernel, ValidationError, build_kernel, conjugate,
-                 k_inverse, k_transform)
+from ldp import (BelowRange, DomainViolation, Hamiltonian, Lagrangian,
+                 TabulatedLagrangian, UnsupportedKernel, ValidationError,
+                 build_kernel, conjugate, k_inverse, k_transform)
 
 
 def quadratic_h():
@@ -72,6 +72,14 @@ def test_tabulated_matches_exact(compact_h):
     Lt = TabulatedLagrangian(compact_h, q_max=50.0)
     for q in [-40.0, -3.0, 0.3, 7.0, 45.0]:
         assert Lt(q) == pytest.approx(L(q), rel=1e-4, abs=1e-6)
+
+
+def test_tabulated_raises_beyond_its_range(compact_h):
+    Lt = TabulatedLagrangian(compact_h, q_max=8.5)
+    assert Lt(8.5) == pytest.approx(Lagrangian(compact_h)(8.5), rel=1e-4)
+    for q in (9.5, -9.5, 50.0):
+        with pytest.raises(DomainViolation):
+            Lt(q)
 
 
 def test_k_transform_compact(compact_kernel):

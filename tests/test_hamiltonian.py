@@ -5,7 +5,7 @@ import pytest
 
 from ldp import (DomainViolation, Hamiltonian, HamiltonianParams,
                  ValidationError, eval_h_ess)
-from ldp.hamiltonian import grad_h, hess_quadform
+from ldp.hamiltonian import eval_h, grad_h, hess_quadform
 
 
 def test_compact_uniform_closed_form(compact_h):
@@ -115,3 +115,22 @@ def test_2d_radial_reduction():
     v_rot = h2.value(np.array([1.5 / math.sqrt(2), 1.5 / math.sqrt(2)]))
     assert v_x == pytest.approx(v_rot, rel=1e-8)
     assert v_x > 0
+
+
+def test_point_length_must_match_dimension(compact_kernel):
+    from ldp import build_kernel
+    p1 = HamiltonianParams(kernel=compact_kernel)
+    p2 = HamiltonianParams(kernel=build_kernel("compact_uniform", 2,
+                                               {"rho": 1.0}))
+    for params, p in ((p2, 2.0), (p2, [1.0, 2.0, 3.0]), (p1, [1.0, 2.0])):
+        for call in (lambda: eval_h(params, p), lambda: grad_h(params, p),
+                     lambda: hess_quadform(params, p, p),
+                     lambda: eval_h_ess(params, p)):
+            with pytest.raises(ValidationError):
+                call()
+
+
+def test_non_finite_p_rejected(compact_h):
+    for p in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            compact_h.value(p)

@@ -33,7 +33,8 @@ def test_exp_linear_is_critical(critical_kernel):
 def test_exp_power_tail_weight(gaussian_tail_kernel):
     k = gaussian_tail_kernel
     assert isinstance(k.tail, IntermediateTail)
-    assert k.tail.omega(3.0) == pytest.approx(3.0)
+    # omega(r) = -ln J(r) / r = r for alpha = 2
+    assert -k.log_density(3.0) / 3.0 == pytest.approx(3.0)
     assert k.density(1.5) == pytest.approx(math.exp(-2.25))
 
 
