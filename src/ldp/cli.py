@@ -136,7 +136,7 @@ def _cmd_simulate(args):
     snaps = parse_values(args.t) if args.t else None
     cfg = SimConfig(kernel=kernel, R=args.R, T=args.tmax,
                     bc_mode=args.bc, n_per_unit=int(args.grid),
-                    dt=args.dt, snapshots=snaps)
+                    snapshots=snaps)
     hist = simulate(cfg)
     if args.out:
         hist.to_csv(args.out)
@@ -213,8 +213,7 @@ def _cmd_sweep(args):
     kernel = load_kernel(args.kernel)
     Rs = parse_values(args.R)
     t_obs = parse_values(args.t)[0] if args.t else 1.0
-    records = run_sweep(kernel, Rs, theta=args.theta, t_obs=t_obs,
-                        dt=args.dt)
+    records = run_sweep(kernel, Rs, theta=args.theta, t_obs=t_obs)
     fit = fit_rate(records) if len(Rs) >= 3 else None
     out = args.out or "sweep.csv"
     rows = [(r.R, r.theta, r.t_obs, r.sup_diff, r.empirical_exponent,
@@ -228,8 +227,7 @@ def _cmd_sweep(args):
         prof = os.path.splitext(out)[0] + "_profiles.csv"
         rows = []
         for R in Rs:
-            cfg = SimConfig(kernel=kernel, R=R, T=t_obs,
-                            bc_mode="barrier", dt=args.dt)
+            cfg = SimConfig(kernel=kernel, R=R, T=t_obs, bc_mode="barrier")
             f = simulate(cfg).fields[-1]
             rows.extend((float(x), float(R), float(v))
                         for x, v in zip(f.x, f.values))
@@ -294,7 +292,6 @@ def _build_parser():
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--t", default=None, help="snapshot times")
     p.add_argument("--grid", default="16", help="nodes per unit length")
-    p.add_argument("--dt", type=float, default=None)
     p.add_argument("--bc", default="dirichlet_zero_outside",
                    choices=["whole_line", "dirichlet_zero_outside",
                             "barrier"])
@@ -305,7 +302,6 @@ def _build_parser():
     p.add_argument("--R", required=True, help="radii, e.g. 8:24:4")
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--t", default=None, help="observation time")
-    p.add_argument("--dt", type=float, default=None)
     p.set_defaults(fn=_cmd_sweep)
     return ap
 

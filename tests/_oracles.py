@@ -16,7 +16,10 @@ approach:
 
 Each is a terminal law P(X_t outside B_R), and leaving B_R by time t
 includes ending outside it, so exit >= terminal: a solver exponent may lie
-below the oracle's, not above it (up to the solver's own time-step bias).
+below the oracle's, not above it.
+
+dense_nonlocal_solution is the space-discrete nonlocal equation solved by
+a dense matrix exponential, the reference for a solver exact in time.
 """
 
 import math
@@ -24,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.special import gammaincc
 from scipy.stats import poisson
 
@@ -117,3 +121,43 @@ def demo_terminal_exponent(R, x0, t=1.0, terms=60):
                      epsabs=0.0, epsrel=1e-12, limit=200)[0]
         total += poisson.pmf(b, 0.5 * t) * inner
     return -math.log(total)
+
+
+def dense_nonlocal_solution(density, reach, R, T, h, L, A_diff, B_drift,
+                            bc_mode, u0):
+    """expm(T G) applied to the initial data of the lattice chain on
+    x = h {-L/h, ..., L/h}: jumps k h (1 <= |k| <= reach / h) at rate
+    h density(k h), plus A_diff / h^2 to each neighbour and |B_drift| / h
+    to the neighbour on the side of B_drift.  Jumps off the grid land on
+    pads of constant value (a source fed by one extra coordinate fixed at
+    1); nodes with |x| > R are absorbing unless bc_mode is whole_line.
+    Returns (x, u(T)).
+    """
+    m = int(round(L / h))
+    x = np.arange(-m, m + 1) * h
+    n = len(x)
+    rates = {}
+    for k in range(1, int(math.ceil(reach / h)) + 1):
+        rates[k] = h * float(density(k * h))
+        rates[-k] = h * float(density(-k * h))
+    rates[1] += A_diff / h ** 2 + max(B_drift, 0.0) / h
+    rates[-1] += A_diff / h ** 2 + max(-B_drift, 0.0) / h
+    start = np.array([float(u0(xi)) for xi in x])
+    top = start.max()
+    outside = np.abs(x) > R + 1e-12
+    if bc_mode == "barrier":
+        start, pads = np.where(outside, top, 0.0), (top, top)
+    elif bc_mode == "dirichlet_zero_outside":
+        start, pads = np.where(outside, 0.0, start), (0.0, 0.0)
+    else:
+        outside[:], pads = False, (start[0], start[-1])
+    gen = np.zeros((n + 1, n + 1))
+    for j in np.flatnonzero(~outside):
+        for k, r in rates.items():
+            i = j + k
+            if 0 <= i < n:
+                gen[j, i] += r
+            else:
+                gen[j, n] += r * (pads[0] if i < 0 else pads[1])
+            gen[j, j] -= r
+    return x, (expm(T * gen) @ np.append(start, 1.0))[:n]

@@ -92,4 +92,5 @@ def test_barrier_solver_tracks_its_lattice_walk(compact_kernel, R):
     v0 = float(simulate(cfg).at_time(1.0).sample(0.0))
     lattice = lattice_walk_exponent(R, cfg.h,
                                     rho=compact_kernel.params["rho"])
-    assert -math.log(v0) == pytest.approx(lattice, rel=0.01)
+    # exit >= terminal: the exit exponent lies at or below the terminal one
+    assert 0.99 * lattice <= -math.log(v0) <= lattice

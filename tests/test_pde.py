@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ldp import (CFLViolation, Field, FieldHistory, InsufficientData,
-                 Saturated, SimConfig, SweepRecord, TruncationTooSmall,
-                 ValidationError, empirical_rate, fit_rate, run_sweep,
-                 simulate, sup_difference)
+from _oracles import dense_nonlocal_solution
+from ldp import (Field, FieldHistory, InsufficientData, Saturated, SimConfig,
+                 SweepRecord, TruncationTooSmall, ValidationError,
+                 build_kernel, empirical_rate, fit_rate, run_sweep, simulate,
+                 sup_difference)
+from ldp.pde import _stencil
 
 
 def test_constant_is_stationary_whole_line(compact_kernel):
@@ -88,10 +91,62 @@ def test_grid_refinement_stable(compact_kernel):
     assert sups[1] == pytest.approx(sups[0], rel=0.05)
 
 
-def test_user_dt_cfl(compact_kernel):
-    cfg = SimConfig(kernel=compact_kernel, R=4.0, T=1.0, dt=10.0)
-    with pytest.raises(CFLViolation):
-        simulate(cfg)
+@pytest.mark.parametrize("bc_mode", ["whole_line", "dirichlet_zero_outside",
+                                     "barrier"])
+@pytest.mark.parametrize("A_diff,B_drift", [(0.25, 0.5), (0.25, -0.5),
+                                            (0.0, 0.0)])
+def test_matches_dense_matrix_exponential(compact_kernel, bc_mode, A_diff,
+                                          B_drift):
+    # the solver is exact in time: it must agree with expm(T Q) u(0) for
+    # the generator Q of the same lattice chain built densely
+    u0 = lambda x: 1.0 + 0.5 * math.cos(x / 3.0 + 0.4)
+    cfg = SimConfig(kernel=compact_kernel, R=4.0, T=0.5, u0=u0,
+                    A_diff=A_diff, B_drift=B_drift, bc_mode=bc_mode,
+                    n_per_unit=8, domain_truncation=15.0)
+    f = simulate(cfg).at_time(0.5)
+    x, ref = dense_nonlocal_solution(
+        compact_kernel.density_1d, compact_kernel.params["rho"], R=4.0,
+        T=0.5, h=cfg.h, L=15.0, A_diff=A_diff, B_drift=B_drift,
+        bc_mode=bc_mode, u0=u0)
+    assert np.array_equal(x, f.x)
+    assert np.max(np.abs(f.values - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("bc_mode", ["dirichlet_zero_outside", "barrier"])
+def test_snapshots_match_single_runs(compact_kernel, bc_mode):
+    # the snapshots accumulate in one pass over the jump count
+    u0 = lambda x: math.exp(-0.1 * x * x)
+    common = dict(kernel=compact_kernel, R=6.0, u0=u0, bc_mode=bc_mode,
+                  n_per_unit=8)
+    hist = simulate(SimConfig(T=1.0, snapshots=[0.25, 0.5, 1.0], **common))
+    for t in (0.25, 0.5, 1.0):
+        single = simulate(SimConfig(T=t, **common)).at_time(t)
+        np.testing.assert_allclose(hist.at_time(t).values, single.values,
+                                   rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("family,params", [("exp_linear", {"alpha": 1.0}),
+                                           ("tempered_stable",
+                                            {"alpha": 0.5, "lam": 1.0})])
+def test_stencil_weights_match_pointwise_density(family, params):
+    kernel = build_kernel(family, 1, params)
+    h = 1.0 / 16
+    ks, w = _stencil(kernel, h)
+    far = np.abs(ks * h) >= math.sqrt(h)    # beyond any split radius
+    ref = [h * float(kernel.density(k * h)) for k in ks[far]]
+    np.testing.assert_allclose(w[far], ref, rtol=1e-15, atol=0.0)
+
+
+def test_kernel_below_grid_resolution_leaves_data_unchanged():
+    # rho < h/2: no tap sees the kernel, the generator is zero
+    narrow = build_kernel("compact_uniform", 1, {"rho": 0.01})
+    cfg = SimConfig(kernel=narrow, R=2.0, T=1.0, bc_mode="barrier")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = simulate(cfg)
+    f = hist.at_time(1.0)
+    assert np.array_equal(f.values, np.where(np.abs(f.x) > 2.0, 1.0, 0.0))
+    assert hist.meta["matvecs"] == 0
 
 
 def test_truncation_too_small(compact_kernel):
