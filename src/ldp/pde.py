@@ -34,6 +34,7 @@ split stencil (second-difference times the small-ball second moment below
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +52,15 @@ from .rate import predict_log_bound
 
 _BC_MODES = ("whole_line", "dirichlet_zero_outside", "barrier")
 _SAT_FLOOR = 1e-300
+
+
+@functools.lru_cache(maxsize=32)
+def _grid(m, n_per_unit):
+    """The nodes j / n_per_unit, |j| <= m, as one read-only array that
+    every config and result on that grid shares."""
+    x = np.arange(-m, m + 1) / n_per_unit
+    x.flags.writeable = False
+    return x
 
 
 @dataclass
@@ -96,8 +106,8 @@ class SimConfig:
 
     @property
     def x(self):
-        m = int(round(self.domain_truncation * self.n_per_unit))
-        return np.arange(-m, m + 1) / self.n_per_unit
+        return _grid(int(round(self.domain_truncation * self.n_per_unit)),
+                     self.n_per_unit)
 
     def u0_values(self, x):
         if callable(self.u0):
@@ -208,7 +218,7 @@ def simulate(cfg: SimConfig) -> FieldHistory:
     fields = []
     for t, s in zip(cfg.snapshots, sums):
         s[held] = fixed
-        fields.append(Field(x=x.copy(), t=t, values=s))
+        fields.append(Field(x=x, t=t, values=s))
     return FieldHistory(fields=fields, meta={
         "bc_mode": cfg.bc_mode, "R": cfg.R, "h": h, "rate": rate,
         "matvecs": matvecs, "dt": cfg.snapshots[-1] / max(matvecs, 1),

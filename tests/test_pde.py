@@ -149,6 +149,16 @@ def test_kernel_below_grid_resolution_leaves_data_unchanged():
     assert hist.meta["matvecs"] == 0
 
 
+def test_results_share_one_read_only_grid(compact_kernel):
+    # results on the same grid keep one copy of it, not one each
+    hists = [simulate(SimConfig(kernel=compact_kernel, R=R, T=0.5,
+                                domain_truncation=12.0, bc_mode=mode))
+             for R, mode in ((3.0, "barrier"), (4.0, "whole_line"))]
+    xs = [f.x for h in hists for f in h.fields]
+    assert all(x is xs[0] for x in xs)
+    assert not xs[0].flags.writeable
+
+
 def test_truncation_too_small(compact_kernel):
     with pytest.raises(TruncationTooSmall):
         SimConfig(kernel=compact_kernel, R=4.0, T=1.0,
