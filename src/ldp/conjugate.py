@@ -22,7 +22,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import (BelowRange, DomainViolation, NonConvergence,
                      UnsupportedKernel, ValidationError)
-from .hamiltonian import HTable, Hamiltonian, first_reach
+from .hamiltonian import Hamiltonian, first_reach
 from .kernels import CompactTail, CriticalTail
 
 _MAX_ITER = 200
@@ -64,6 +64,16 @@ def _conjugate_scalar(value, grad, hess, domain, q, p_init=None):
     def g(p):
         return q - grad(p)
 
+    def g_from(p, pn):
+        # a bracketing step that lands where H cannot be evaluated (it
+        # overflows there) is halved back towards p, where it could
+        for _ in range(64):
+            try:
+                return pn, g(pn)
+            except NonConvergence:
+                pn = 0.5 * (p + pn)
+        return pn, g(pn)
+
     # --- bracket the root of g (g is decreasing) -------------------------
     p = 0.0 if p_init is None else min(max(p_init, plo), phi)
     if not (plo < p < phi):
@@ -81,7 +91,7 @@ def _conjugate_scalar(value, grad, hess, domain, q, p_init=None):
             else:
                 pn = p + step
                 step *= 2
-            gn = g(pn)
+            pn, gn = g_from(p, pn)
             if gn <= 0:
                 b, gb = pn, gn
                 break
@@ -107,7 +117,7 @@ def _conjugate_scalar(value, grad, hess, domain, q, p_init=None):
             else:
                 pn = p - step
                 step *= 2
-            gn = g(pn)
+            pn, gn = g_from(p, pn)
             if gn >= 0:
                 a, ga = pn, gn
                 break
@@ -126,6 +136,7 @@ def _conjugate_scalar(value, grad, hess, domain, q, p_init=None):
     tol = max(1e-10, 1e-12 * abs(q))
     p = 0.5 * (a + b)
     gp = g(p)
+    dx = dx_old = b - a
     for _ in range(_MAX_ITER):
         it += 1
         if abs(gp) <= tol:
@@ -135,10 +146,15 @@ def _conjugate_scalar(value, grad, hess, domain, q, p_init=None):
         else:
             b = p
         hp = hess(p)
-        pn = p + gp / hp if hp > 0 else None
-        if pn is None or not (a < pn < b):
-            pn = 0.5 * (a + b)
-        p, gp = pn, g(pn)
+        step = gp / hp if hp > 0 else math.inf
+        # Newton while it stays inside [a, b] and at least halves the step
+        # before last, else bisect (rtsafe): Newton alone creeps along an
+        # exponentially steep H' one unit of ln H' per step
+        if not a < p + step < b or abs(2 * step) > abs(dx_old):
+            step = 0.5 * (a + b) - p
+        dx_old, dx = dx, step
+        p = p + step
+        gp = g(p)
         if b - a < 1e-15 * max(1.0, abs(a) + abs(b)):
             break
     else:
@@ -265,19 +281,18 @@ class TabulatedLagrangian:
         p_hi = first_reach(h, +1.0, hi, lambda H, G: G >= q_max)
         p_lo = -first_reach(h, -1.0, -lo, lambda H, G: G <= -q_max)
         # the knot p = 0 gives H(0), and with it the bound L >= -H(0)
-        self.tab = HTable(h, np.union1d(np.linspace(p_lo, p_hi, points),
-                                        [0.0]))
-        self._floor = -float(self.tab.Hv[self.tab.ps == 0.0][0])
+        self.ps = np.union1d(np.linspace(p_lo, p_hi, points), [0.0])
+        self.Hv, self.Hg = h.batch(self.ps, (0, 1))
+        self._floor = -float(self.Hv[self.ps == 0.0][0])
 
     def __call__(self, q) -> float:
         q = float(q)
-        tab = self.tab
-        if not tab.Hg[0] <= q <= tab.Hg[-1]:
+        if not self.Hg[0] <= q <= self.Hg[-1]:
             raise DomainViolation(
-                f"q={q} outside the tabulated range [{tab.Hg[0]:.6g}, "
-                f"{tab.Hg[-1]:.6g}]; build the table with a larger q_max")
-        p = float(np.interp(q, tab.Hg, tab.ps))
-        Hp = float(np.interp(p, tab.ps, tab.Hv))
+                f"q={q} outside the tabulated range [{self.Hg[0]:.6g}, "
+                f"{self.Hg[-1]:.6g}]; build the table with a larger q_max")
+        p = float(np.interp(q, self.Hg, self.ps))
+        Hp = float(np.interp(p, self.ps, self.Hv))
         # the interpolant lies above H: p q - Hp may undershoot -H(0)
         return max(p * q - Hp, self._floor)
 

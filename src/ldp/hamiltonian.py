@@ -6,34 +6,37 @@ with the compensator dropped for integrable kernels when requested, and
 the essential Hamiltonian H^ess(p) = int_{|y|>rho0/2} e^{p.y} J(y) dy,
 which carries the growth of H.
 
-In 1-D one engine, eval_batch, gives H, H', H'' and H^ess for a whole
-array of p from fixed Gauss-Legendre panels: split at delta, at |y| = 1,
-at rho0/2, at the support edges and at the kernel's jumps; halved until
-their end points differ by at most a factor 2 and ln(e^{py} J) spreads
-little over each for the batch's extreme p; geometric out to one tail cut
-sized for the largest |p|.  Singular kernels take y = u^2 near the
-origin.  Integrands are formed as exp(p y + ln J(y)), so huge exponential
-factors against tiny densities never overflow, and p is processed in
-chunks.  The scalar operations are batches of one; HTable tabulates H and
-H' in one call.  The 2-D radial path uses adaptive quadrature.
+One engine gives H, H', H'' and H^ess for a whole array of p from fixed
+Gauss-Legendre panels: split at delta, at |y| = 1, at rho0/2, at the
+support edges and at the kernel's jumps; halved until their end points
+differ by at most a factor 2 and ln(e^{py} J) spreads little over each
+for the batch's extreme p; geometric out to one tail cut sized for the
+largest |p|.  Singular kernels take y = u^2 near the origin.  Integrands
+are formed as exp(p y + ln J(y)), so huge exponential factors against
+tiny densities never overflow, and p is processed in chunks.  For a
+radial kernel in 2-D the same panels cover the radii r > 0 and the
+angular integral gives Bessel factors (I_0 - 1 for H, I_1 for |DH|,
+I_0 + I_2 for the curvature along p), formed as the scaled I_n(|p| r)
+e^{-|p| r} times exp(|p| r + ln J(r)).  eval_batch is the 1-D entry point; the scalar
+operations are batches of one in both dimensions; HTable tabulates H in
+one call.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, IntegrationWarning
-from scipy.special import ive, iv
+# nothing here calls quad: perfbench/tracing.py wraps this name to count
+# the adaptive quadrature calls of this layer
+from scipy.integrate import quad  # noqa: F401
+from scipy.special import i0e, i1e
 
 from .errors import DomainViolation, NonConvergence, ValidationError
 from .kernels import Kernel
 
-_EPSREL = 1e-11
-_QUAD_LIMIT = 250
 _DOMAIN_MARGIN = 1e-6
 
 
@@ -44,7 +47,7 @@ class HamiltonianParams:
     B: np.ndarray = None          # (N,); default zero
     compensated: bool = True
     delta_split: Optional[float] = None   # near-origin split radius
-    # quadrature rules of the 1-D engine, by p-range rung (see _rung)
+    # quadrature rules of the engine, by p-range rung (see _rung)
     _rules: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -95,7 +98,7 @@ def _domain_interval(kernel):
 def _check_domain(kernel, p):
     lo, hi = _domain_interval(kernel)
     if kernel.dimension == 2:
-        r = float(np.linalg.norm(p))
+        r = math.hypot(*p)
         if math.isfinite(hi) and r > hi * (1 - _DOMAIN_MARGIN):
             raise DomainViolation(
                 f"|p|={r} outside domain radius {hi} (critical kernel)")
@@ -107,11 +110,12 @@ def _check_domain(kernel, p):
 
 
 def _radius(k, p):
-    """|p| for the 2-D radial path, after the domain and symmetry checks."""
+    """|p| for the 2-D radial path, after the domain and symmetry checks
+    (hypot: the squares of |p| < 1e-154 would lose digits to subnormals)."""
     _check_domain(k, p)
     if not k.symmetric:
         raise ValidationError("2-D evaluation requires a radial kernel")
-    return float(np.linalg.norm(p))
+    return math.hypot(*p)
 
 
 def _as_point(params, v, name="p"):
@@ -122,42 +126,8 @@ def _as_point(params, v, name="p"):
     return v
 
 
-def _quad(f, a, b):
-    if a >= b:
-        return 0.0
-    with np.errstate(over="ignore", invalid="ignore"), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, a, b, epsabs=1e-280, epsrel=_EPSREL,
-                        limit=_QUAD_LIMIT)
-    if not math.isfinite(val):
-        raise NonConvergence(f"quadrature returned {val} on [{a}, {b}]")
-    return val
-
-
-def _quad_geom(f, a, b):
-    """Adaptive quadrature over [a, b] (finite, same sign) in geometric
-    panels, robust for slowly decaying exponential tails."""
-    if a >= b:
-        return 0.0
-    total = 0.0
-    if a > 0:
-        lo = a
-        while lo < b:
-            hi = min(2 * lo, b)
-            total += _quad(f, lo, hi)
-            lo = hi
-    else:
-        hi = b
-        while hi > a:
-            lo = max(2 * hi, a)
-            total += _quad(f, lo, hi)
-            hi = lo
-    return total
-
-
 # ---------------------------------------------------------------------------
-# 1-D integrals: one Gauss-Legendre rule for a whole array of p
+# Jump integrals: one Gauss-Legendre rule for a whole array of p
 # ---------------------------------------------------------------------------
 
 def _gauss_legendre(n):
@@ -180,17 +150,22 @@ _LOG_TINY = math.log(1e-24)   # drop panels below this times J(rho0/2)
 _U_MIN = 1e-5           # singular kernels: u-panels stop at y = _U_MIN^2
 _FAR = 1e9              # unbounded supports: panels reach at most this far
 _MAX_PANELS = 4096
-_RULES_KEPT = 4         # rules cached per HamiltonianParams, oldest dropped
+_RULES_KEPT = 32        # rules cached per HamiltonianParams, oldest dropped
+#                         (a cold L solve visits 4-6 rungs, a series of
+#                         solves over a q range a few dozen)
 _CHUNK = 1 << 12        # float64 entries per temporary (32 KB)
 # 1/k! for k = 13 .. 2: Horner coefficients of e^x - 1 - x
 _EXPM1MX = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
+# 1/(k!)^2 for k = 8 .. 1: Horner coefficients of (I_0(x) - 1) / t in
+# t = x^2 / 4, used below x = 0.5 (the first term dropped is below 1e-20)
+_I0M1 = [1.0 / math.factorial(k) ** 2 for k in range(8, 0, -1)]
 
 
-def _side_rule(k, side, knots, singular, p_ends, floor):
-    """Nodes |y| and weights on one side, over the intervals between
-    `knots` (increasing from 0 or rho0/2), resolving e^{py} J(y) for p in
-    p_ends down to e^floor.  Singular kernels take y = u^2 on the first
-    interval, down to u = _U_MIN."""
+def _side_rule(logj, knots, singular, p_ends, floor):
+    """Nodes t > 0 and weights along one ray, over the intervals between
+    `knots` (increasing from 0 or rho0/2), resolving e^{pt + logj(t)} for
+    p in p_ends down to e^floor.  Singular kernels take t = u^2 on the
+    first interval, down to u = _U_MIN."""
     ends = list(zip(knots[:-1], knots[1:]))
     if singular:
         ends[0] = (_U_MIN, math.sqrt(knots[1]))
@@ -200,14 +175,13 @@ def _side_rule(k, side, knots, singular, p_ends, floor):
     a = np.concatenate([e[:-1] for e in parts])
     b = np.concatenate([e[1:] for e in parts])
     sq = np.arange(a.size) < (parts[0].size - 1 if singular else 0)
-    # ... halved where ln(e^{py} J) spreads by more than _SPAN at an end
-    # of the p range, unless negligible there; the panels negligible at
-    # both ends (and so for every p between) are dropped: the tail cut
+    # ... halved where the log-integrand spreads by more than _SPAN at an
+    # end of the p range, unless negligible there; the panels negligible
+    # at both ends (and so for every p between) are dropped: the tail cut
     for _ in range(64):
         v = a[:, None] + (b - a)[:, None] * _SAMPLES
         t = np.where(sq[:, None], v * v, v)
-        phi = np.stack([side * p * t + k.log_density_1d(side * t)
-                        for p in p_ends])
+        phi = np.stack([p * t + logj(t) for p in p_ends])
         top = phi.max(axis=-1)
         tiny = (top + np.log(t[:, -1] - t[:, 0])
                 + 2 * np.log(np.maximum(t[:, -1], 1.0)) < floor)
@@ -245,42 +219,86 @@ def _rung(p, edge):
     return 2 ** (math.ceil(4 * math.log2(p)) / 4) if p > 0 else 0.0
 
 
-def _rule_1d(params, p_lo, p_hi, essential):
-    """Nodes y, weights w, ln J and J at the nodes for the 1-D integral
-    over the line (over |y| > rho0/2 if essential), for every p in
-    [p_lo, p_hi] (p_lo <= 0 <= p_hi)."""
+def _rays(k):
+    """ln J and the rays from the origin the integrals run along: both
+    sides of the line in 1-D, the radii r > 0 in 2-D."""
+    if k.dimension == 2:
+        return k.log_radial_density, (1.0,)
+    return k.log_density_1d, (1.0, -1.0)
+
+
+def _rule(params, p_lo, p_hi, essential):
+    """Nodes y, weights w, ln J and J at the nodes for the integral over
+    the line, or in 2-D over the radii with the polar 2 pi r in w (over
+    |y| > rho0/2 if essential), for every p in [p_lo, p_hi] (p_lo <= 0 <=
+    p_hi; in 2-D p is |p| and p_lo = 0)."""
     k = params.kernel
+    lnj, sides = _rays(k)
+    radial = k.dimension == 2
     singular = k.singularity_exponent > 0 and not essential
     start = k.rho0 / 2 if essential else 0.0
-    floor = _LOG_TINY + float(np.max(k.log_density_1d(
-        np.array([-0.5, 0.5]) * k.rho0)))
+
+    def logj(t, side):
+        # the panel tests bound the integrand by t^2 e^{pt} J in 1-D; in
+        # 2-D the polar r adds a factor, bounded by max(r, 1)
+        out = lnj(side * t)
+        return out + np.log(np.maximum(t, 1.0)) if radial else out
+
+    floor = _LOG_TINY + max(float(logj(k.rho0 / 2, side)) for side in sides)
     ys, ws = [], []
-    for side, edge in ((1.0, k.support[1]), (-1.0, -k.support[0])):
-        edge = min(edge, _FAR)
+    for side in sides:
+        edge = min(side * k.support[side > 0], _FAR)
         if edge <= start:
             continue
         cuts = {params.delta_split, 1.0, k.rho0 / 2}
         cuts |= {side * j for j in k.jumps if side * j > 0}
         knots = sorted({start, edge} | {c for c in cuts if start < c < edge})
-        t, w = _side_rule(k, side, knots, singular, (p_lo, p_hi), floor)
+        t, w = _side_rule(lambda t: logj(t, side), knots, singular,
+                          (side * p_lo, side * p_hi), floor)
         ys.append(side * t)
         ws.append(w)
-    y = np.concatenate(ys)
-    lj = k.log_density_1d(y)
-    return y, np.concatenate(ws), lj, np.exp(lj)
+    y, w = np.concatenate(ys), np.concatenate(ws)
+    lj = lnj(y)
+    return y, 2 * math.pi * y * w if radial else w, lj, np.exp(lj)
 
 
+def _radial_integrand(m, essential, x, y, e, jv):
+    """The 2-D integrand of moment m at the radii y (x = |p| y, e =
+    e^x J(y), jv = J(y)), before the weights.  The angular integrals give
+    I_n(x) = i{n}e(x) e^x, with e^x in e; the compensator integrates to
+    0 over every circle."""
+    if m == 1:
+        return y * e * i1e(x)
+    if m == 2:
+        # (I_0 + I_2) / 2 = I_0 - I_1 / x, free of cancellation; I_1(x) / x
+        # is 1/2 at x = 0
+        xm = np.maximum(x, 1e-300)
+        return y * y * e * (i0e(x) - i1e(xm) / xm)
+    f = e * i0e(x)
+    if not essential:
+        f -= jv
+        # below x = 0.5, I_0(x) - 1 from its series
+        near = np.nonzero(x < 0.5)
+        t = 0.25 * x[near] ** 2
+        f[near] = jv[near[1]] * np.polyval(_I0M1, t) * t
+    return f
+
+
+@np.errstate(over="ignore", invalid="ignore")   # checked below
 def _jump_moments(params, ps, moments, essential):
     """The jump integrals of H, H', H'' (or H^ess and its derivative) for
-    every p in ps, as an array (len(moments), len(ps))."""
+    every p in ps, as an array (len(moments), len(ps)).  In 2-D ps holds
+    radii |p| and the moments are H, |DH| and the curvature along p."""
     k = params.kernel
+    lnj, sides = _rays(k)
+    radial = k.dimension == 2
     lo, hi = k.p_domain
     key = (essential, -_rung(-min(ps.min(), 0.0), -lo),
            _rung(max(ps.max(), 0.0), hi))
     if key not in params._rules:
         if len(params._rules) >= _RULES_KEPT:
             del params._rules[next(iter(params._rules))]
-        params._rules[key] = _rule_1d(params, key[1], key[2], essential)
+        params._rules[key] = _rule(params, key[1], key[2], essential)
     y, w, lj, jv = params._rules[key]
     c = (np.abs(y) < 1.0) & params.compensated & (not essential)
     out = np.empty((len(moments), ps.size))
@@ -288,18 +306,16 @@ def _jump_moments(params, ps, moments, essential):
     for i in range(0, ps.size, rows):
         p = ps[i:i + rows, None]
         x = p * y
-        z = x + lj
-        if z.max() > 709.0:
-            raise NonConvergence(
-                "e^{py} J(y) overflows; H out of float range")
-        e = np.exp(z)
-        if not essential:
+        e = np.exp(x + lj)
+        if not (essential or radial):
             # where |p y| is small, e^{py} - 1 (- p y) from its series
             near = np.nonzero(np.abs(x) < 0.1)
             xs, cs, js = x[near], c[near[1]], jv[near[1]]
             em1 = np.expm1(xs)
         for j, m in enumerate(moments):
-            if essential:
+            if radial:
+                f = _radial_integrand(m, essential, x, y, e, jv)
+            elif essential:
                 f = e * y if m == 1 else e
             elif m == 0:
                 f = e - jv - c * x * jv
@@ -313,104 +329,24 @@ def _jump_moments(params, ps, moments, essential):
             # a row sum in fixed order: a p's value does not depend on the
             # chunk it lands in
             out[j, i:i + rows] = (f * w).sum(axis=1)
+    # an integrand past the float range leaves inf or nan in its row sum
+    if not np.isfinite(out).all():
+        raise NonConvergence("e^{py} J(y) overflows; H out of float range")
     s, eps = k.singularity_exponent, _U_MIN ** 2
-    for side in ((1.0, -1.0) if s > 0 and not essential else ()):
+    full = params.compensated or radial     # the terms odd in y cancel
+    for side in (sides if s > 0 and not essential else ()):
         # int over (0, eps) on this side of the leading-order integrand
-        # c_m y^n J(y), with J(y) ~ J(side eps) (|y|/eps)^{-1-s}
-        j_eps = math.exp(float(k.log_density_1d(side * eps)))
+        # c_m y^n J(y), with J(y) ~ J(side eps) (|y|/eps)^{-N-s}; in 2-D
+        # the angular integral and the polar r add the factor pi eps
+        j_eps = math.exp(float(lnj(side * eps)))
+        if radial:
+            j_eps *= math.pi * eps
         for j, m in enumerate(moments):
-            n = 2 if (m == 2 or params.compensated) else 1
-            coef = {0: 0.5 * ps * ps if params.compensated else ps,
-                    1: ps if params.compensated else 1.0, 2: 1.0}[m]
+            n = 2 if (m == 2 or full) else 1
+            coef = {0: 0.5 * ps * ps if full else ps,
+                    1: ps if full else 1.0, 2: 1.0}[m]
             out[j] += coef * side ** n * j_eps * eps ** (n + 1) / (n - s)
     return out
-
-
-# ---------------------------------------------------------------------------
-# 2-D radial integrals (symmetric kernels)
-# ---------------------------------------------------------------------------
-
-def _bessel_term(n, x):
-    """I_n(x) computed safely; returns ln of it when large via pair
-    (value, is_log)."""
-    if x < 650.0:
-        return float(iv(n, x)), False
-    return math.log(float(ive(n, x))) + x, True
-
-
-def _radial_integral_2d(kernel, pr, weight, angular):
-    """int_0^inf  r^weight J(r) G(pr * r) dr  with G an angular factor.
-
-    angular: 'i0m1' -> 2 pi (I0(x)-1); 'i1' -> 2 pi I1(x);
-             'i0pi2' -> pi (I0+I2); 'i0mi2' -> pi (I0-I2)
-    """
-    lr = kernel.log_radial_density
-    s = kernel.singularity_exponent
-    sup = kernel.support[1]
-
-    def G(x):
-        if angular == "i0m1":
-            if x < 1e-4:
-                return (x * x / 4 + x**4 / 64, False)
-            v, is_log = _bessel_term(0, x)
-            return (v - 1.0, False) if not is_log else (v, True)
-        if angular == "i1":
-            return _bessel_term(1, x)
-        if angular == "i0pi2":
-            v0, l0 = _bessel_term(0, x)
-            v2, l2 = _bessel_term(2, x)
-            if not l0:
-                return v0 + v2, False
-            return v0 + math.log1p(math.exp(v2 - v0)), True
-        v0, l0 = _bessel_term(0, x)
-        v2, l2 = _bessel_term(2, x)
-        if not l0:
-            return v0 - v2, False
-        return v0 + math.log(-math.expm1(v2 - v0)), True
-
-    fac = 2 * math.pi if angular in ("i0m1", "i1") else math.pi
-
-    def f(r):
-        if r <= 0:
-            return 0.0
-        lj = float(lr(r))
-        if lj == -math.inf:
-            return 0.0
-        gv, is_log = G(pr * r)
-        base = weight * math.log(r) + lj
-        if not is_log:
-            return fac * math.exp(base) * gv
-        if base + gv > 709:
-            raise NonConvergence("2-D integrand overflows")
-        return fac * math.exp(base + gv)
-
-    delta = 1e-3 if s > 0 else min(kernel.rho0 / 2, 0.5)
-    total = 0.0
-    if s > 0:
-        su = math.sqrt(delta)
-        total += _quad(lambda u: f(u * u) * 2 * u, 0.0, su)
-    else:
-        total += _quad(f, 0.0, delta)
-    if math.isfinite(sup):
-        total += _quad(f, delta, sup)
-    else:
-        M = _tail_cut_radial(kernel, pr)
-        total += _quad(f, delta, 1.0)
-        total += _quad_geom(f, 1.0, M)
-    return total
-
-
-def _tail_cut_radial(kernel, pr, tol=1e-18):
-    lr = kernel.log_radial_density
-    M = max(4.0, 2 * kernel.rho0)
-    for _ in range(200):
-        t = pr * M + float(lr(M)) + math.log(max(M, 1.0))
-        if t < math.log(tol):
-            return M
-        M *= 1.4
-        if M > 1e9:
-            raise NonConvergence("2-D tail cutoff search failed")
-    raise NonConvergence("2-D tail cutoff search failed")
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +382,21 @@ def eval_batch(params: HamiltonianParams, ps, moments=(0,),
     return out
 
 
+def _radial(params, p, moments, essential=False):
+    """|p| and the 2-D radial integrals at it, a batch of one."""
+    pr = _radius(params.kernel, p)
+    return pr, _jump_moments(params, np.array([pr]), moments, essential)[:, 0]
+
+
 def eval_h(params: HamiltonianParams, p):
     """H(p)."""
     p = _as_point(params, p)
     if params.dimension == 1:
         return float(eval_batch(params, p)[0, 0])
-    k = params.kernel
     quad_part = float(p @ params.A @ p + params.B @ p)
-    if k is None:
+    if params.kernel is None:
         return quad_part
-    pr = _radius(k, p)
-    # angular average of the compensator vanishes for radial kernels
-    return quad_part + _radial_integral_2d(k, pr, 1, "i0m1")
+    return quad_part + float(_radial(params, p, (0,))[1][0])
 
 
 def eval_h_ess(params: HamiltonianParams, p, moment=0):
@@ -476,20 +415,7 @@ def eval_h_ess(params: HamiltonianParams, p, moment=0):
     p = _as_point(params, p)
     if k.dimension == 1:
         return float(eval_batch(params, p, (moment,), essential=True)[0, 0])
-    half, pr = k.rho0 / 2, _radius(k, p)
-    lrd, sup = k.log_radial_density, k.support[1]
-
-    def g(r):
-        lj = float(lrd(r))
-        if lj == -math.inf:
-            return 0.0
-        v0, is_log = _bessel_term(0, pr * r)
-        if is_log:
-            return 2 * math.pi * math.exp(math.log(r) + lj + v0)
-        return 2 * math.pi * r * math.exp(lj) * v0
-
-    b = sup if math.isfinite(sup) else _tail_cut_radial(k, pr)
-    return _quad(g, half, b)
+    return float(_radial(params, p, (0,), essential=True)[1][0])
 
 
 def grad_h(params: HamiltonianParams, p):
@@ -497,15 +423,11 @@ def grad_h(params: HamiltonianParams, p):
     p = _as_point(params, p)
     if params.dimension == 1:
         return eval_batch(params, p, (1,))[0]
-    k = params.kernel
     lin = 2.0 * params.A @ p + params.B
-    if k is None:
+    if params.kernel is None:
         return lin
-    pr = _radius(k, p)
-    if pr == 0.0:
-        return lin
-    mag = _radial_integral_2d(k, pr, 2, "i1")
-    return lin + mag * (p / pr)
+    pr, (mag,) = _radial(params, p, (1,))
+    return lin + mag * (p / pr) if pr > 0 else lin
 
 
 def hess_quadform(params: HamiltonianParams, p, nu):
@@ -515,19 +437,18 @@ def hess_quadform(params: HamiltonianParams, p, nu):
     if params.dimension == 1:
         return float(nu[0] ** 2 * eval_batch(params, p, (2,))[0, 0])
     quad_part = float(2.0 * nu @ params.A @ nu)
-    k = params.kernel
-    if k is None:
+    if params.kernel is None:
         return quad_part
-    pr = _radius(k, p)
-    if pr == 0.0:
-        iso = _radial_integral_2d(k, 0.0, 3, "i0mi2")
-        return quad_part + float(nu @ nu) * iso
-    phat = p / pr
-    c_par = float(nu @ phat)
+    pr, (mag, t_par) = _radial(params, p, (1, 2))
+    # across p the curvature is pi int r^3 J (I_0 - I_2), and
+    # I_0(x) - I_2(x) = (2 / x) I_1(x) makes it |DH| / |p|; it differs from
+    # the curvature along p by O(|p|^2), so below |p| = 1e-100 (where I_1
+    # would lose its digits to subnormals) the two are equal
+    if pr <= 1e-100:
+        return quad_part + float(nu @ nu) * t_par
+    c_par = float(nu @ p) / pr
     c_perp2 = float(nu @ nu) - c_par**2
-    t_par = _radial_integral_2d(k, pr, 3, "i0pi2")
-    t_perp = _radial_integral_2d(k, pr, 3, "i0mi2")
-    return quad_part + c_par**2 * t_par + max(c_perp2, 0.0) * t_perp
+    return quad_part + c_par**2 * t_par + max(c_perp2, 0.0) * mag / pr
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +518,12 @@ class Hamiltonian:
 
 
 class HTable:
-    """H and H' on increasing 1-D knots, filled by one batched call;
-    `slopes` holds H' of the linear interpolant of H, one per cell."""
+    """H on increasing 1-D knots, filled by one batched call; `slopes`
+    holds H' of the linear interpolant of H, one per cell."""
 
     def __init__(self, h: Hamiltonian, ps):
         self.ps = np.asarray(ps, dtype=float)
-        self.Hv, self.Hg = h.batch(self.ps, (0, 1))
+        self.Hv = h.batch(self.ps)[0]
         self.slopes = np.diff(self.Hv) / np.diff(self.ps)
 
     def speed(self, lo, hi):

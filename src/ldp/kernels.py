@@ -63,7 +63,7 @@ class Kernel:
     support: tuple                      # 1-D interval / radial (-R, R)
     p_domain: tuple                     # finiteness interval of p -> int e^{py} J
     scale: float = 1.0
-    jumps: tuple = ()                   # N == 1: points where J jumps or kinks
+    jumps: tuple = ()   # points on a line through 0 where J jumps or kinks
 
     def density(self, y):
         """Evaluate J at points y (scalar, 1-D array, or (m, N) array)."""
@@ -322,8 +322,7 @@ def _radial_kernel(family, dimension, params, radial, log_radial, s,
         mass=mass, support=(-support_radius, support_radius),
         p_domain=p_domain,
         jumps=tuple(sorted({sign * r for r in jump_radii
-                            for sign in (-1.0, 1.0)}))
-        if dimension == 1 else (),
+                            for sign in (-1.0, 1.0)})),
     )
 
 

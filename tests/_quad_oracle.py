@@ -1,18 +1,27 @@
-"""Adaptive-quadrature oracle for the 1-D jump integrals of H.
+"""Adaptive-quadrature oracle for the jump integrals of H.
 
-This is the scalar evaluator `ldp.hamiltonian` used before its batched
+These are the scalar evaluators `ldp.hamiltonian` used before its batched
 Gauss-Legendre engine: one p at a time, scipy's adaptive `quad` over a
-Python integrand, split at delta, at |y| = 1 and at the support edges,
-with the substitution y = u^2 near the origin for singular kernels and
-geometric panels out to a tail cut.  It reads only the kernel's density
-and log-density, so it checks the engine's panel rule, not the kernel.
+Python integrand, split at delta, at |y| = 1, at the kernel's jumps and at
+the support edges, with the substitution y = u^2 near the origin for
+singular kernels and geometric panels out to a tail cut.  They read only
+the kernel's density and log-density, so they check the engine's panel
+rule, not the kernel.  In 1-D:
 
     moment 0: int (e^{py} - 1 - p y 1_{|y|<1}) J(y) dy   (H)
     moment 1: int y (e^{py} - 1_{|y|<1}) J(y) dy         (H')
     moment 2: int y^2 e^{py} J(y) dy                      (H'')
 
 (the compensator terms drop for uncompensated kernels), and
-h_ess(kernel, p, m) = int_{|y| > rho0/2} y^m e^{py} J(y) dy.
+h_ess(kernel, p, m) = int_{|y| > rho0/2} y^m e^{py} J(y) dy.  For a radial
+kernel in 2-D, radial(kernel, |p|, kind, delta) integrates over the radii
+with the angular integral done by Bessel functions:
+
+    "h":    2 pi int r J(r) (I_0(|p| r) - 1) dr          (H)
+    "grad": 2 pi int r^2 J(r) I_1(|p| r) dr              (|DH|)
+    "par":  pi int r^3 J(r) (I_0 + I_2)(|p| r) dr        (curvature along p)
+    "perp": pi int r^3 J(r) (I_0 - I_2)(|p| r) dr        (curvature across p)
+    "ess":  2 pi int_{r > rho0/2} r J(r) I_0(|p| r) dr   (H^ess)
 """
 
 import math
@@ -20,6 +29,7 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import ive
 
 _EPSREL = 1e-12
 _LIMIT = 500
@@ -150,4 +160,76 @@ def h_ess(kernel, p, moment=0):
                 total += _quad_geom(f, u, v)
             else:
                 total += _quad(f, u, v)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# 2-D radial kernels
+# ---------------------------------------------------------------------------
+
+_RADIAL = {"h": (1, 2 * math.pi), "grad": (2, 2 * math.pi),
+           "par": (3, math.pi), "perp": (3, math.pi), "ess": (1, 2 * math.pi)}
+
+
+def _log_angular(kind, x):
+    """ln of the Bessel factor of `kind` at x >= 0 (-inf where it is 0)."""
+    if kind == "h" and x < 2.0:
+        # I_0(x) - 1 by its power series, free of cancellation
+        t, term, total, k = x * x / 4, 1.0, 0.0, 0
+        while t > 0.0:
+            k += 1
+            term *= t / (k * k)
+            total += term
+            if term <= 1e-18 * total:
+                break
+        return math.log(total) if total > 0.0 else -math.inf
+    if kind == "grad" and x == 0.0:
+        return -math.inf
+    g = {"h": lambda: ive(0, x) - math.exp(-x),
+         "grad": lambda: ive(1, x),
+         "par": lambda: ive(0, x) + ive(2, x),
+         "perp": lambda: ive(0, x) - ive(2, x),
+         "ess": lambda: ive(0, x)}[kind]()
+    return math.log(g) + x if g > 0.0 else -math.inf
+
+
+def _radial_tail_cut(kernel, pr, tol=1e-20):
+    """r beyond which r^3 e^{pr r} J(r) has a tail integral below tol."""
+    f = kernel.log_radial_density
+    M = max(4.0, 2 * kernel.rho0)
+    while M < 1e9:
+        t = pr * M + float(f(M)) + 3 * math.log(M)
+        t2 = 1.01 * pr * M + float(f(1.01 * M)) + 3 * math.log(1.01 * M)
+        rate = max((t - t2) / (0.01 * M), 1e-3)
+        if t + math.log(max(1.0 / rate, 1.0) + 1.0) < math.log(tol):
+            return M
+        M *= 1.4
+    raise AssertionError("tail cutoff search failed")
+
+
+def radial(kernel, pr, kind, delta):
+    """A 2-D jump integral of a radial kernel at |p| = pr (see above)."""
+    weight, fac = _RADIAL[kind]
+    lr = kernel.log_radial_density
+
+    def f(r):
+        lj = float(lr(r)) if r > 0 else -math.inf
+        if lj == -math.inf:
+            return 0.0
+        t = weight * math.log(r) + lj + _log_angular(kind, pr * r)
+        assert t < 709.0, "2-D integrand overflows"
+        return fac * math.exp(t) if t > -745.0 else 0.0
+
+    start = kernel.rho0 / 2 if kind == "ess" else 0.0
+    sup = kernel.support[1]
+    b = sup if math.isfinite(sup) else _radial_tail_cut(kernel, pr)
+    cuts = {delta, 1.0} | {r for r in kernel.jumps if r > 0}
+    knots = sorted({x for x in cuts if start < x < b} | {start, b})
+    total = 0.0
+    if kernel.singularity_exponent > 0 and start == 0.0:
+        # r = u^2 softens the singularity at the origin
+        total += _quad(lambda u: f(u * u) * 2 * u, 0.0, math.sqrt(delta))
+        knots = knots[1:]
+    for u, v in zip(knots[:-1], knots[1:]):
+        total += _quad_geom(f, u, v) if u >= 1.0 else _quad(f, u, v)
     return total

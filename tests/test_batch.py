@@ -1,4 +1,6 @@
-"""The batched 1-D H engine against the adaptive-quadrature oracle."""
+"""The batched H engine against the adaptive-quadrature oracle, in 1-D and
+for radial kernels in 2-D, and the Fenchel-Young inequality for every
+kernel family."""
 
 import math
 
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldp.hamiltonian as ham
-from ldp import Hamiltonian, build_kernel, scaled_kernel
-from ldp.hamiltonian import HTable, eval_batch
+from ldp import Hamiltonian, Lagrangian, build_kernel, scaled_kernel
+from ldp.hamiltonian import HTable, eval_batch, eval_h_ess
 
 import _quad_oracle as Q
 
@@ -31,6 +33,10 @@ FAMILIES = {
 }
 _H = {name: Hamiltonian.from_kernel(build_kernel(family, 1, params))
       for name, (family, params, _) in FAMILIES.items()}
+# every radial family in 2-D, with the same parameters and |p| ranges
+_H2 = {name: Hamiltonian.from_kernel(build_kernel(family, 2, params))
+       for name, (family, params, _) in FAMILIES.items()
+       if name != "asymmetric_1d_demo"}
 
 
 def _p_range(name):
@@ -87,8 +93,8 @@ def test_table_slopes_nondecreasing(name):
     tab = HTable(h, np.linspace(lo, hi, 401))
     steps = np.diff(tab.slopes)
     assert np.all(steps >= -1e-12 * np.max(np.abs(tab.slopes)))
-    # the table's H' lies between the slopes of its neighbouring cells
-    inner = tab.Hg[1:-1]
+    # H' at the knots lies between the slopes of the neighbouring cells
+    inner = h.batch(tab.ps, (1,))[0, 1:-1]
     assert np.all(tab.slopes[:-1] <= inner + 1e-9 * np.abs(inner))
     assert np.all(inner <= tab.slopes[1:] + 1e-9 * np.abs(inner))
 
@@ -121,3 +127,112 @@ def test_callable_fallback_loops_over_the_scalar_callable():
     ps = np.array([-1.5, 0.0, 2.0])
     np.testing.assert_array_equal(
         h.batch(ps, (0, 1, 2)), [ps ** 4, 4 * ps ** 3, 12 * ps ** 2])
+
+
+def _radius_cap(name):
+    hi = _H2[name].domain[1]
+    return 0.99 * hi if math.isfinite(hi) else FAMILIES[name][2]
+
+
+def _radial_values(h, pr, theta):
+    """H, |DH|, the curvatures along and across p, and H^ess at
+    p = pr (cos theta, sin theta)."""
+    along = np.array([math.cos(theta), math.sin(theta)])
+    across = np.array([-along[1], along[0]])
+    p = pr * along
+    return [h.value(p), math.hypot(*h.grad(p)), h.hess_quadform(p, along),
+            h.hess_quadform(p, across), eval_h_ess(h.params, p)]
+
+
+@pytest.mark.parametrize("name", sorted(_H2))
+@settings(max_examples=12, deadline=None)
+@given(u=st.floats(0.0, 1.0), theta=st.floats(0.0, 2 * math.pi))
+def test_radial_engine_matches_quad_oracle(name, u, theta):
+    h = _H2[name]
+    pr = u * _radius_cap(name)
+    # the oracle at the |p| the engine sees (subnormal p rounds)
+    pr_seen = math.hypot(*(pr * np.array([math.cos(theta), math.sin(theta)])))
+    for kind, value in zip(("h", "grad", "par", "perp", "ess"),
+                           _radial_values(h, pr, theta)):
+        ref = Q.radial(h.kernel, pr_seen, kind, h.params.delta_split)
+        assert _close(value, ref), (kind, pr, value, ref)
+
+
+@pytest.mark.parametrize("name", sorted(_H2))
+def test_radial_values_invariant_under_rotation(name):
+    h = _H2[name]
+    rng = np.random.default_rng(7)
+    for pr in _radius_cap(name) * np.array([0.01, 0.5, 1.0]):
+        p = pr * np.array([1.0, 0.0])
+        base = _radial_values(h, pr, 0.0)
+        nu = rng.normal(size=2)
+        # a rotation moves |p| by an ulp or two, which H(12) ~ e^{256}
+        # (exp_power) magnifies about 800-fold
+        for phi in rng.uniform(0.0, 2 * math.pi, 3):
+            rot = np.array([[math.cos(phi), -math.sin(phi)],
+                            [math.sin(phi), math.cos(phi)]])
+            np.testing.assert_allclose(_radial_values(h, pr, phi), base,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(h.grad(rot @ p), rot @ h.grad(p),
+                                       rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(h.hess_quadform(rot @ p, rot @ nu),
+                                       h.hess_quadform(p, nu), rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(_H2))
+def test_radial_values_at_p_zero(name):
+    h = _H2[name]
+    k, zero = h.kernel, np.zeros(2)
+    assert h.value(zero) == 0.0
+    assert np.all(h.grad(zero) == 0.0)
+    # isotropic: pi int r^3 J in every direction
+    curv = Q.radial(k, 0.0, "par", h.params.delta_split)
+    assert _close(Q.radial(k, 0.0, "perp", h.params.delta_split), curv)
+    for nu in ([1.0, 0.0], [0.3, -0.4], [-2.0, 1.0]):
+        nu = np.array(nu)
+        assert _close(h.hess_quadform(zero, nu), (nu @ nu) * curv)
+    assert _close(eval_h_ess(h.params, zero),
+                  Q.radial(k, 0.0, "ess", h.params.delta_split))
+    if name == "compact_uniform":
+        # J = 1/pi on the unit disc; H^ess(0) is its mass beyond rho0/2 = 1/4
+        assert _close(h.hess_quadform(zero, np.array([1.0, 0.0])), 0.25)
+        assert _close(eval_h_ess(h.params, zero), 0.9375)
+
+
+_ALL_H = {**{(name, 1): h for name, h in _H.items()},
+          **{(name, 2): h for name, h in _H2.items()}}
+
+
+def _point(key, u, theta):
+    """The point at fraction u of the family's p range (1-D) or at radius
+    u times its cap in the direction theta (2-D)."""
+    name, dim = key
+    if dim == 1:
+        lo, hi = _p_range(name)
+        return np.array([lo + u * (hi - lo)])
+    return u * _radius_cap(name) * np.array([math.cos(theta),
+                                             math.sin(theta)])
+
+
+@pytest.mark.parametrize("key", sorted(_ALL_H),
+                         ids=lambda k: f"{k[0]}-{k[1]}d")
+@settings(max_examples=5, deadline=None)
+@given(u=st.floats(0.05, 0.95), theta=st.floats(0.0, 2 * math.pi),
+       probes=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                 st.floats(0.0, 2 * math.pi)),
+                       min_size=3, max_size=3))
+def test_fenchel_young(key, u, theta, probes):
+    # q = DH(p0) is attained inside the domain, so L(q) = p0.q - H(p0)
+    h = _ALL_H[key]
+    p0 = _point(key, u, theta)
+    q = np.atleast_1d(h.grad(p0))
+    L = Lagrangian(h)
+    value = L(q)
+    scale = 1.0 + abs(float(p0 @ q))
+    # p.q <= H(p) + L(q) everywhere, with equality at the maximiser
+    for v, phi in probes:
+        p = _point(key, v, phi)
+        assert float(p @ q) - h.value(p) - value <= 1e-8 * scale
+    p_star = np.atleast_1d(L.slope(q))
+    assert abs(float(p_star @ q) - h.value(p_star) - value) <= 1e-8 * scale
+    assert abs(float(p0 @ q) - h.value(p0) - value) <= 1e-8 * scale

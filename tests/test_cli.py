@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_conjugate_table_output(critical_spec, tmp_path, capsys):
     out = str(tmp_path / "L.csv")
     assert main(["conjugate", "--kernel", critical_spec,
                  "--q", "0.5,1,2", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "q,L"
     assert len(lines) == 4
 
@@ -75,7 +76,7 @@ def test_simulate_csv(compact_spec, tmp_path):
     out = str(tmp_path / "sim.csv")
     assert main(["simulate", "--kernel", compact_spec, "--R", "3",
                  "--tmax", "0.5", "--grid", "8", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     header = [l for l in lines if not l.startswith("#")][0]
     assert header == "x,t,value"
 
@@ -84,7 +85,7 @@ def test_hj_csv(compact_spec, tmp_path):
     out = str(tmp_path / "hj.csv")
     assert main(["hj", "--kernel", compact_spec, "--A", "2",
                  "--grid", "49", "--tmax", "0.5", "--out", out]) == 0
-    lines = [l for l in open(out).read().splitlines()
+    lines = [l for l in Path(out).read_text().splitlines()
              if not l.startswith("#")]
     assert lines[0] == "x,t,value"
     vals = np.array([float(l.split(",")[2]) for l in lines[1:]])
@@ -97,7 +98,7 @@ def test_sweep_deterministic_and_reingestable(compact_spec, tmp_path):
         out = str(tmp_path / f"sweep_{tag}.csv")
         assert main(["sweep", "--kernel", compact_spec, "--R", "3:5:1",
                      "--out", out, "--seed", "0"]) == 0
-        outs.append(open(out, "rb").read())
+        outs.append(Path(out).read_bytes())
     assert outs[0] == outs[1]
 
     path = str(tmp_path / "sweep_a.csv")
@@ -106,12 +107,12 @@ def test_sweep_deterministic_and_reingestable(compact_spec, tmp_path):
     fit = fit_rate(recs)
     assert np.isfinite(fit.slope)
     # footer carries the same fit
-    footer = [l for l in open(path).read().splitlines()
+    footer = [l for l in Path(path).read_text().splitlines()
               if l.startswith("# slope=")]
     assert len(footer) == 1
     # a gnuplot script is emitted next to the table
     gp = path.replace(".csv", ".gp")
-    assert "plot" in open(gp).read()
+    assert "plot" in Path(gp).read_text()
 
 
 def test_emit_plot_script_guards(tmp_path):
