@@ -284,7 +284,7 @@ def _radial_integrand(m, essential, x, y, e, jv):
     return f
 
 
-@np.errstate(over="ignore", invalid="ignore")   # checked below
+@np.errstate(over="ignore", invalid="ignore")   # overflow raises below
 def _jump_moments(params, ps, moments, essential):
     """The jump integrals of H, H', H'' (or H^ess and its derivative) for
     every p in ps, as an array (len(moments), len(ps)).  In 2-D ps holds
@@ -333,7 +333,9 @@ def _jump_moments(params, ps, moments, essential):
     if not np.isfinite(out).all():
         raise NonConvergence("e^{py} J(y) overflows; H out of float range")
     s, eps = k.singularity_exponent, _U_MIN ** 2
-    full = params.compensated or radial     # the terms odd in y cancel
+    # in 2-D the terms odd in y vanish on every circle, so the leading
+    # orders of the compensated integrands apply
+    full = params.compensated or radial
     for side in (sides if s > 0 and not essential else ()):
         # int over (0, eps) on this side of the leading-order integrand
         # c_m y^n J(y), with J(y) ~ J(side eps) (|y|/eps)^{-N-s}; in 2-D
