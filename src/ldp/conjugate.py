@@ -22,7 +22,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import (BelowRange, DomainViolation, NonConvergence,
                      UnsupportedKernel, ValidationError)
-from .hamiltonian import Hamiltonian, first_reach
+from .hamiltonian import Hamiltonian, first_reach, grad_hess
 from .kernels import CompactTail, CriticalTail
 
 _MAX_ITER = 200
@@ -57,12 +57,17 @@ def _warm_start(h: Hamiltonian, q):
     return 0.0
 
 
-def _conjugate_scalar(value, grad, hess, domain, q, p_init=None):
-    """1-D safeguarded Newton for sup_p (p q - H(p)); grad is H'."""
+def _conjugate_scalar(value, grad, grad_hess, domain, q, p_init=None):
+    """1-D safeguarded Newton for sup_p (p q - H(p)); grad is H', and
+    grad_hess gives H' and H'' at one p together."""
     plo, phi = _inner_bounds(domain)
 
     def g(p):
         return q - grad(p)
+
+    def g_and_curv(p):
+        d1, d2 = grad_hess(p)
+        return q - float(d1), float(d2)
 
     def g_from(p, pn):
         # a bracketing step that lands where H cannot be evaluated (it
@@ -135,7 +140,7 @@ def _conjugate_scalar(value, grad, hess, domain, q, p_init=None):
     # --- safeguarded Newton inside [a, b] --------------------------------
     tol = max(1e-10, 1e-12 * abs(q))
     p = 0.5 * (a + b)
-    gp = g(p)
+    gp, hp = g_and_curv(p)
     dx = dx_old = b - a
     for _ in range(_MAX_ITER):
         it += 1
@@ -145,7 +150,6 @@ def _conjugate_scalar(value, grad, hess, domain, q, p_init=None):
             a = p
         else:
             b = p
-        hp = hess(p)
         step = gp / hp if hp > 0 else math.inf
         # Newton while it stays inside [a, b] and at least halves the step
         # before last, else bisect (rtsafe): Newton alone creeps along an
@@ -154,7 +158,7 @@ def _conjugate_scalar(value, grad, hess, domain, q, p_init=None):
             step = 0.5 * (a + b) - p
         dx_old, dx = dx, step
         p = p + step
-        gp = g(p)
+        gp, hp = g_and_curv(p)
         if b - a < 1e-15 * max(1.0, abs(a) + abs(b)):
             break
     else:
@@ -173,17 +177,25 @@ def conjugate(h: Hamiltonian, q, p_init=None):
         if init is None:
             init = _warm_start(h, qs)
         return _conjugate_scalar(
-            lambda p: float(h.value(p)), lambda p: h.grad_1d(p),
-            lambda p: float(h.hess_quadform(p, 1.0)),
-            h.domain, qs, p_init=init)
+            lambda p: float(h.value(p)), h.grad_1d,
+            lambda p: h.batch([p], (1, 2))[:, 0], h.domain, qs,
+            p_init=init)
     if h.symmetric:
         qr = float(np.linalg.norm(q))
         qhat = q / qr if qr > 0 else np.eye(h.dimension)[0]
 
+        def along(r):
+            # H' and H'' along the ray of q, from one engine call
+            p = r * qhat
+            if h.params is None:
+                g, c = h.grad(p), h.hess_quadform(p, qhat)
+            else:
+                g, c = grad_hess(h.params, p, qhat)
+            return np.dot(g, qhat), c
+
         res = _conjugate_scalar(
             lambda r: float(h.value(r * qhat)),
-            lambda r: float(np.dot(h.grad(r * qhat), qhat)),
-            lambda r: float(h.hess_quadform(r * qhat, qhat)),
+            lambda r: float(np.dot(h.grad(r * qhat), qhat)), along,
             h.domain, qr,
             p_init=None if p_init is None
             else float(np.dot(np.asarray(p_init), qhat)))

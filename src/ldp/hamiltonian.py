@@ -396,8 +396,6 @@ def eval_h(params: HamiltonianParams, p):
     if params.dimension == 1:
         return float(eval_batch(params, p)[0, 0])
     quad_part = float(p @ params.A @ p + params.B @ p)
-    if params.kernel is None:
-        return quad_part
     return quad_part + float(_radial(params, p, (0,))[1][0])
 
 
@@ -420,37 +418,50 @@ def eval_h_ess(params: HamiltonianParams, p, moment=0):
     return float(_radial(params, p, (0,), essential=True)[1][0])
 
 
+def _grad_2d(params, p, pr, mag):
+    """DH(p) from |p| and the jump part |DH| of the radial integrals."""
+    lin = 2.0 * params.A @ p + params.B
+    return lin + mag * (p / pr) if pr > 0 else lin
+
+
 def grad_h(params: HamiltonianParams, p):
     """DH(p) as an (N,) array."""
     p = _as_point(params, p)
     if params.dimension == 1:
         return eval_batch(params, p, (1,))[0]
-    lin = 2.0 * params.A @ p + params.B
-    if params.kernel is None:
-        return lin
     pr, (mag,) = _radial(params, p, (1,))
-    return lin + mag * (p / pr) if pr > 0 else lin
+    return _grad_2d(params, p, pr, mag)
 
 
 def hess_quadform(params: HamiltonianParams, p, nu):
     """<D^2 H(p) nu, nu> for a direction nu."""
+    if params.dimension == 1:
+        p = _as_point(params, p)
+        nu = _as_point(params, nu, "nu")
+        return float(nu[0] ** 2 * eval_batch(params, p, (2,))[0, 0])
+    return grad_hess(params, p, nu)[1]
+
+
+def grad_hess(params: HamiltonianParams, p, nu):
+    """DH(p) and <D^2 H(p) nu, nu> from one engine call, the same values
+    grad_h and hess_quadform give: a Newton step needs both at one p."""
     p = _as_point(params, p)
     nu = _as_point(params, nu, "nu")
     if params.dimension == 1:
-        return float(nu[0] ** 2 * eval_batch(params, p, (2,))[0, 0])
-    quad_part = float(2.0 * nu @ params.A @ nu)
-    if params.kernel is None:
-        return quad_part
+        d1, d2 = eval_batch(params, p, (1, 2))
+        return d1, float(nu[0] ** 2 * d2[0])
     pr, (mag, t_par) = _radial(params, p, (1, 2))
+    grad = _grad_2d(params, p, pr, mag)
+    quad_part = float(2.0 * nu @ params.A @ nu)
     # across p the curvature is pi int r^3 J (I_0 - I_2), and
     # I_0(x) - I_2(x) = (2 / x) I_1(x) makes it |DH| / |p|; it differs from
     # the curvature along p by O(|p|^2), so below |p| = 1e-100 (where I_1
     # would lose its digits to subnormals) the two are equal
     if pr <= 1e-100:
-        return quad_part + float(nu @ nu) * t_par
+        return grad, quad_part + float(nu @ nu) * t_par
     c_par = float(nu @ p) / pr
     c_perp2 = float(nu @ nu) - c_par**2
-    return quad_part + c_par**2 * t_par + max(c_perp2, 0.0) * mag / pr
+    return grad, quad_part + c_par**2 * t_par + max(c_perp2, 0.0) * mag / pr
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import CFLViolation, DomainViolation, NonConvergence, \
-    ValidationError
+from .errors import CFLViolation, DomainViolation, ValidationError
 from .fields import Field, FieldHistory
 from .hamiltonian import HTable, Hamiltonian, first_reach
 
@@ -114,7 +113,6 @@ def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
     d2 = np.zeros(grid.n + 2)   # second differences; none at the boundary
 
     def project(v):
-        np.clip(v, 0.0, grid.A, out=v)
         v[0] = v[-1] = 0.0
         if sweep_beta is not None:
             _lipschitz_sweep(v, sweep_beta, h)
@@ -143,10 +141,7 @@ def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
             raise CFLViolation(
                 f"dt={grid.dt} violates dt*max|H'|/h <= 1 "
                 f"(max|H'|={max_speed:.3g}, h={h:.3g})")
-    max_steps = 50_000_000
-    for _ in range(max_steps):
-        if not targets:
-            break
+    while targets:
         pm, pp = slopes(u)
         if grid.dt is not None:
             dt = grid.dt
@@ -170,8 +165,6 @@ def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
             t = targets[0]
             fields.append(Field(x=grid.x.copy(), t=t, values=u.copy()))
             targets.pop(0)
-    else:
-        raise NonConvergence("time marching exceeded the step budget")
     return fields
 
 

@@ -17,6 +17,9 @@ rate of the stencil and P the convolution with w / rate,
     u(t) = sum_n Pois(n; rate t) P^n u(0),
 
 a sum of nonnegative terms, so tail values keep their relative accuracy.
+The nodes a boundary mode holds (|x| > R) never change, so P is applied
+only on the band of free nodes, |x| <= R (the whole grid in whole_line
+mode); held values are written once and never recomputed.
 
 For unit-mass kernels with u0 = const = M and no local terms, the whole-line
 solution is exactly the constant M, so the truncation difference u - u_R
@@ -173,11 +176,13 @@ def simulate(cfg: SimConfig) -> FieldHistory:
     """Uniformisation, exact in time; returns the requested snapshots.
 
     One pass over n applies P (the stencil convolution with weights
-    w / rate; nodes held by the boundary condition are absorbing, the pads
-    beyond the grid constant sources) and adds Pois(n; rate t) P^n u(0) to
-    every snapshot t.  Each sum stops when max(u0) times its Poisson tail
-    mass is below 1e-16 of the representable floor, so every value above
-    that floor carries a relative truncation error below 1e-16.
+    w / rate) to the free band, reading the held nodes and the pads beyond
+    the grid as constant sources, and adds Pois(n; rate t) P^n u(0) to the
+    band of every snapshot t; held nodes keep their data throughout, and
+    meta["free_nodes"] counts the band.  Each sum stops when max(u0) times
+    its Poisson tail mass is below 1e-16 of the representable floor, so
+    every value above that floor carries a relative truncation error below
+    1e-16.
     """
     h = cfg.h
     x = cfg.x
@@ -197,32 +202,31 @@ def simulate(cfg: SimConfig) -> FieldHistory:
         u = u0.copy()
         held[:] = False
         pads = (u0[0], u0[-1])
+    free = np.flatnonzero(~held)    # a contiguous band: |x| <= R
+    lo, hi = int(free[0]), int(free[-1]) + 1
 
     kpad = -int(ks[0])
     buf = np.concatenate([np.full(kpad, pads[0]), u,
                           np.full(int(ks[-1]), pads[1])])
-    v = buf[kpad:kpad + len(u)]     # view: P^n u(0) on the grid
+    window = buf[lo:hi + len(ks) - 1]  # the entries the band reads
+    band = buf[kpad + lo:kpad + hi]    # view: P^n u(0) on the free nodes
     taps = w[::-1] / (rate or 1.0)  # rate 0: no jumps, P is never applied
     log_tol = math.log(1e-16 * _SAT_FLOOR) - math.log(max(M, _SAT_FLOOR))
     weights = [_poisson_weights(rate * t, log_tol) for t in cfg.snapshots]
-    sums = [np.zeros_like(u) for _ in weights]
-    fixed = u[held]
+    # held entries of every sum keep their data; only the band accumulates
+    sums = [np.where(held, u, 0.0) for _ in weights]
     matvecs = max(map(len, weights)) - 1
     for n in range(matvecs + 1):
         if n:
-            v[:] = np.convolve(buf, taps, mode="valid")
-            v[held] = fixed
+            band[:] = np.convolve(window, taps, mode="valid")
         for s, p in zip(sums, weights):
             if n < len(p):
-                s += p[n] * v
-    fields = []
-    for t, s in zip(cfg.snapshots, sums):
-        s[held] = fixed
-        fields.append(Field(x=x, t=t, values=s))
+                s[lo:hi] += p[n] * band
+    fields = [Field(x=x, t=t, values=s) for t, s in zip(cfg.snapshots, sums)]
     return FieldHistory(fields=fields, meta={
         "bc_mode": cfg.bc_mode, "R": cfg.R, "h": h, "rate": rate,
         "matvecs": matvecs, "dt": cfg.snapshots[-1] / max(matvecs, 1),
-        "kernel": cfg.kernel.family})
+        "free_nodes": hi - lo, "kernel": cfg.kernel.family})
 
 
 def sup_difference(u: Field, uR: Field, theta, R) -> float:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import _verdicts
@@ -51,3 +52,18 @@ def kernel_spec_path(tmp_path):
         p.write_text(json.dumps(spec))
         return str(p)
     return _write
+
+
+@pytest.fixture(scope="session")
+def anisotropic_drifted_h():
+    """The kernel-free 2-D H(p) = p.A p + B.p with A = diag(1, 2) and
+    B = (0.5, -0.3), returned with A and B; its conjugate is
+    L(q) = (q - B).A^{-1}(q - B) / 4."""
+    A = np.diag([1.0, 2.0])
+    B = np.array([0.5, -0.3])
+    h = Hamiltonian.from_callables(
+        value=lambda p: float(p @ A @ p + B @ p),
+        grad=lambda p: 2.0 * A @ p + B,
+        hess=lambda p, nu: float(2.0 * nu @ A @ nu),
+        dimension=2, symmetric=False)
+    return h, A, B

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ldp import (BelowRange, DomainViolation, Hamiltonian, Lagrangian,
                  TabulatedLagrangian, UnsupportedKernel, ValidationError,
                  build_kernel, conjugate, k_inverse, k_transform)
+from ldp import hamiltonian
 
 
 def quadratic_h():
@@ -127,3 +128,33 @@ def test_tabulated_rejects_2d():
     h2 = Hamiltonian.from_kernel(k2)
     with pytest.raises(ValidationError):
         TabulatedLagrangian(h2, q_max=10.0)
+
+
+def test_asymmetric_2d_conjugate_matches_closed_form(anisotropic_drifted_h):
+    # a drift and an anisotropic A make H asymmetric: the N-D Newton solve
+    h, A, B = anisotropic_drifted_h
+    for q in ([0.0, 0.0], [1.0, -2.0], [-3.0, 0.5], [2.5, 4.0]):
+        d = np.array(q) - B
+        res = conjugate(h, q)
+        assert res.value == pytest.approx(
+            0.25 * d @ np.linalg.solve(A, d), rel=0.0, abs=1e-12)
+        np.testing.assert_allclose(res.argmax, 0.5 * np.linalg.solve(A, d),
+                                   rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,q", [(1, 2.0), (2, [1.5, 0.5])])
+def test_l_solve_takes_each_moment_once_per_point(monkeypatch, dim, q):
+    # a Newton point takes H' and H'' from one engine call; in 2-D two
+    # calls would both integrate |DH| at the same |p|
+    seen = []
+    engine = hamiltonian._jump_moments
+
+    def spy(params, ps, moments, essential):
+        seen.extend((float(p), m) for p in ps for m in moments)
+        return engine(params, ps, moments, essential)
+
+    monkeypatch.setattr(hamiltonian, "_jump_moments", spy)
+    kernel = build_kernel("exp_power", dim, {"alpha": 2.0})
+    res = conjugate(Hamiltonian.from_kernel(kernel), q)
+    assert res.iterations > 0 and not res.hit_domain_boundary
+    assert len(set(seen)) == len(seen)

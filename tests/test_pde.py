@@ -8,7 +8,7 @@ from _oracles import dense_nonlocal_solution
 from ldp import (Field, FieldHistory, InsufficientData, Saturated, SimConfig,
                  SweepRecord, TruncationTooSmall, ValidationError,
                  build_kernel, empirical_rate, fit_rate, run_sweep, simulate,
-                 sup_difference)
+                 sup_difference, tail_reach)
 from ldp.pde import _stencil
 
 
@@ -110,6 +110,29 @@ def test_matches_dense_matrix_exponential(compact_kernel, bc_mode, A_diff,
         bc_mode=bc_mode, u0=u0)
     assert np.array_equal(x, f.x)
     assert np.max(np.abs(f.values - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("bc_mode", ["dirichlet_zero_outside", "barrier"])
+@pytest.mark.parametrize("name", ["compact_kernel", "critical_kernel"])
+def test_band_ignores_the_width_of_the_held_exterior(request, name, bc_mode):
+    # P acts on the free band |x| <= R only; the held nodes and the pads
+    # beyond the grid carry the same constant, so a wider held exterior
+    # must leave the band as it is and the held nodes at their data
+    kernel = request.getfixturevalue(name)
+    R = 4.0
+    u0 = lambda x: math.exp(-0.1 * x * x)
+    held_value = 1.0 if bc_mode == "barrier" else 0.0
+    bands = []
+    for extra in (0.0, 8.0):
+        hist = simulate(SimConfig(
+            kernel=kernel, R=R, T=0.5, u0=u0, bc_mode=bc_mode, n_per_unit=8,
+            domain_truncation=R + tail_reach(kernel) + extra))
+        f = hist.at_time(0.5)
+        free = np.abs(f.x) <= R
+        assert hist.meta["free_nodes"] == np.count_nonzero(free)
+        assert np.all(f.values[~free] == held_value)
+        bands.append(f.values[free])
+    np.testing.assert_allclose(bands[1], bands[0], rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("bc_mode", ["dirichlet_zero_outside", "barrier"])

@@ -88,3 +88,21 @@ def test_rate_2d_symmetric():
     # nearest boundary point lies along +x
     assert res.minimizing_boundary_point[0] == pytest.approx(1.0, rel=1e-4)
     assert res.value > 0
+
+
+def test_asymmetric_2d_rate_matches_angular_brute_force(
+        anisotropic_drifted_h):
+    # no nearest-point formula for an asymmetric L: the angular sweep and
+    # its golden refinement against the closed-form L on 200,001 angles
+    h, A, B = anisotropic_drifted_h
+    th = np.linspace(0.0, 2 * math.pi, 200_001)
+    ys = np.stack([np.cos(th), np.sin(th)], axis=1)
+    L = Lagrangian(h)
+    for x, t in (([0.2, -0.3], 0.5), ([0.0, 0.0], 1.0), ([-0.6, 0.5], 0.3)):
+        d = (np.array(x) - ys) / t - B
+        brute = float(np.min(
+            0.25 * t * np.einsum("ij,jk,ik->i", d, np.linalg.inv(A), d)))
+        res = rate_iinf(L, x, t)
+        assert res.value == pytest.approx(brute, rel=0.0, abs=1e-9)
+        y = res.minimizing_boundary_point
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-15)
