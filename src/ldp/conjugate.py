@@ -290,8 +290,8 @@ class TabulatedLagrangian:
         if h.dimension != 1:
             raise ValidationError("tabulated Lagrangian is 1-D only")
         lo, hi = _inner_bounds(h.domain)
-        p_hi = first_reach(h, +1.0, hi, lambda H, G: G >= q_max)
-        p_lo = -first_reach(h, -1.0, -lo, lambda H, G: G <= -q_max)
+        p_hi = first_reach(h, +1.0, hi, (1,), lambda G: G >= q_max)
+        p_lo = -first_reach(h, -1.0, -lo, (1,), lambda G: G <= -q_max)
         # the knot p = 0 gives H(0), and with it the bound L >= -H(0)
         self.ps = np.union1d(np.linspace(p_lo, p_hi, points), [0.0])
         self.Hv, self.Hg = h.batch(self.ps, (0, 1))

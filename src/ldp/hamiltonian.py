@@ -25,6 +25,7 @@ one call.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -538,27 +539,36 @@ class HTable:
         self.ps = np.asarray(ps, dtype=float)
         self.Hv = h.batch(self.ps)[0]
         self.slopes = np.diff(self.Hv) / np.diff(self.ps)
+        # Python lists: speed() is called once per time step, where two
+        # bisections beat the numpy calls on arrays of two
+        self._knots = self.ps.tolist()
+        self._speeds = np.abs(self.slopes).tolist()
 
     def speed(self, lo, hi):
-        """max |H'| of the interpolant over the slopes in [lo, hi]."""
-        cells = np.searchsorted(self.ps, (lo, hi)) - 1
-        np.clip(cells, 0, len(self.slopes) - 1, out=cells)
-        return float(np.max(np.abs(self.slopes[cells])))
+        """max |H'| of the interpolant over the slopes in [lo, hi], for a
+        convex H: |H'| is largest in one of the two end cells.  The cell
+        of p is the one ending at the first knot >= p; slopes beyond the
+        table take its first or last cell."""
+        last = len(self._speeds) - 1
+        i = min(max(bisect_left(self._knots, lo) - 1, 0), last)
+        j = min(max(bisect_left(self._knots, hi) - 1, 0), last)
+        return max(self._speeds[i], self._speeds[j])
 
 
-def first_reach(h: Hamiltonian, side, bound, good):
-    """Smallest t in (0, bound] at which good(H(side t), H'(side t)) holds
-    (vectorised; once true it stays true as t grows), or `bound` when it
-    never holds before the last _DOMAIN_MARGIN of a finite bound.
+def first_reach(h: Hamiltonian, side, bound, moments, good):
+    """Smallest t in (0, bound] at which good(*rows) holds, the rows being
+    the `moments` of H (0: H, 1: H') at side t (vectorised; once true it
+    stays true as t grows), or `bound` when it never holds before the
+    last _DOMAIN_MARGIN of a finite bound.
 
-    Tables of H and H' probe a finite bound at halving distances to it,
-    an infinite one by doubling from 1 (one p at a time: a table far past
-    the crossing could overflow); four rounds re-tabulate the bracketing
-    cell at 64 points, so the point returned lies past the crossing by at
-    most 64^-4 of the first bracket.
+    Tables of the moments the predicate reads probe a finite bound at
+    halving distances to it, an infinite one by doubling from 1 (one p at
+    a time: a table far past the crossing could overflow); four rounds
+    re-tabulate the bracketing cell at 64 points, so the point returned
+    lies past the crossing by at most 64^-4 of the first bracket.
     """
     def holds(ts):
-        return good(*h.batch(side * np.asarray(ts, dtype=float), (0, 1)))
+        return good(*h.batch(side * np.asarray(ts, dtype=float), moments))
 
     if math.isfinite(bound):
         gap = bound - min(1.0, bound)
@@ -574,7 +584,7 @@ def first_reach(h: Hamiltonian, side, bound, good):
         while not holds([hi])[0]:
             lo, hi = hi, 2 * hi
             if hi > 1e8:
-                raise NonConvergence("H' never reaches the target")
+                raise NonConvergence("the target is never reached")
     for _ in range(4):
         ts = np.linspace(lo, hi, 65)[1:]
         ok = holds(ts)

@@ -20,12 +20,19 @@ The scheme follows Osher & Shu (SIAM J. Numer. Anal. 28, 1991):
   It is strong-stability-preserving with coefficient 1, so each stage
   obeys the step bound of a single Euler step.
 
+The step works in arrays allocated once per solve: each stage writes the
+slopes into the rows of one (2, n) array and evaluates both Godunov terms
+with one np.interp over it; np.where's choice of second differences and
+np.interp's result are its only new arrays.
+
 H is tabulated (one batched HTable) on a finite slope range
 [p_min, p_max] and held constant beyond it, which clamps the slopes fed
 to H; the clamp only modifies the transient layer emanating from the
 boundary discontinuity, not the solution at the requested snapshot times,
 because the clamped Hamiltonian agrees with H on every slope the exact
-solution takes there.  Tables of H and H' also find that range.
+solution takes there.  first_reach finds that range from tables of the
+moments each cap reads: H' for the dense core of solve_hj, H and H' for
+its clamp range, H alone for the cap of solve_hj_constrained.
 
 The time step is dt = 0.9 h / max |H'| over the slopes currently sampled,
 with H' that of the tabulated (piecewise-linear) H, the flux the scheme
@@ -41,6 +48,9 @@ run; solve_hj_constrained treats
 by projecting slopes into (-beta0, beta0) and enforcing the beta0-Lipschitz
 bound with a min-plus sweep after every stage, which also installs the
 correct initial trace min(A, beta0 dist(x)).
+
+Both solvers report the march in FieldHistory.meta: `steps` (Heun
+steps), `dt_min` and `dt_max`.
 """
 
 from __future__ import annotations
@@ -108,32 +118,55 @@ def _table_knots(pmin, pmax, core_min, core_max):
 
 
 def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
-    h = grid.h
-    pstar = tab.ps[np.argmin(tab.Hv)]
-    d2 = np.zeros(grid.n + 2)   # second differences; none at the boundary
+    """The fields at the snapshot times and the march statistics: the
+    number of Heun steps and the smallest and largest dt taken."""
+    n, h = grid.n, grid.h
+    ps, Hv = tab.ps, tab.Hv
+    pstar = ps[np.argmin(Hv)]
+    # work arrays, allocated once per solve; every stage writes into them
+    du = np.empty(n + 1)            # first differences
+    d2 = np.zeros(n + 2)            # second differences; none at the boundary
+    ad2 = np.empty(n + 2)
+    pick = np.empty(n + 1, dtype=bool)  # ENO2: the left d2 is smaller
+    c = np.empty(n + 1)             # half the smaller second difference
+    P = np.empty((2, n))            # rows p- and p+
+    u1 = np.zeros(n + 2)
+    if sweep_beta is not None:
+        ramp = sweep_beta * h * np.arange(n + 2)
+        work = np.empty(n + 2)
 
     def project(v):
         v[0] = v[-1] = 0.0
         if sweep_beta is not None:
-            _lipschitz_sweep(v, sweep_beta, h)
+            _lipschitz_sweep(v, ramp, work)
 
     def slopes(v):
-        # ENO2 one-sided slopes p-, p+ at the interior nodes
-        du = (v[1:] - v[:-1]) / h
+        # ENO2 one-sided slopes p-, p+ at the interior nodes, into P
+        np.subtract(v[1:], v[:-1], out=du)
+        np.divide(du, h, out=du)
         np.subtract(du[1:], du[:-1], out=d2[1:-1])
-        c = np.where(np.abs(d2[:-1]) <= np.abs(d2[1:]), d2[:-1], d2[1:])
-        c *= 0.5
-        return du[:-1] + c[:-1], du[1:] - c[1:]
+        np.abs(d2, out=ad2)
+        np.less_equal(ad2[:-1], ad2[1:], out=pick)
+        # np.where's temporary beats a masked multiply into c
+        np.multiply(np.where(pick, d2[:-1], d2[1:]), 0.5, out=c)
+        np.add(du[:-1], c[:-1], out=P[0])
+        np.subtract(du[1:], c[1:], out=P[1])
 
-    def flux(pm, pp):
-        # np.interp holds H constant beyond the table: the slope clamp
-        return np.maximum(np.interp(np.maximum(pm, pstar), tab.ps, tab.Hv),
-                          np.interp(np.minimum(pp, pstar), tab.ps, tab.Hv))
+    def euler(v, dt):
+        # u1 = v - dt Hhat(p-, p+) at the interior nodes, from the slopes
+        # in P; np.interp holds H constant beyond the table: the slope clamp
+        np.maximum(P[0], pstar, out=P[0])
+        np.minimum(P[1], pstar, out=P[1])
+        flux = np.interp(P, ps, Hv)
+        f = np.maximum(flux[0], flux[1], out=flux[0])
+        f *= dt
+        np.subtract(v[1:-1], f, out=u1[1:-1])
 
-    u = np.full(grid.n + 2, float(grid.A))
+    u = np.full(n + 2, float(grid.A))
     project(u)
     fields = []
     t = 0.0
+    steps, dt_min, dt_max = 0, math.inf, 0.0
     targets = list(grid.snapshots)
     if grid.dt is not None:
         max_speed = float(np.max(np.abs(tab.slopes)))
@@ -142,38 +175,41 @@ def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
                 f"dt={grid.dt} violates dt*max|H'|/h <= 1 "
                 f"(max|H'|={max_speed:.3g}, h={h:.3g})")
     while targets:
-        pm, pp = slopes(u)
+        slopes(u)
         if grid.dt is not None:
             dt = grid.dt
         else:
             # H' is monotone, so the extreme slopes carry the top speed
-            speed = tab.speed(min(pm.min(), pp.min()),
-                              max(pm.max(), pp.max()))
+            speed = tab.speed(float(P.min()), float(P.max()))
             dt = _CFL * h / max(speed, 1e-12)
         dt = min(dt, targets[0] - t)
         # Heun (TVD-RK2): two Euler stages, then the average
-        u1 = u.copy()
-        u1[1:-1] -= dt * flux(pm, pp)
+        euler(u, dt)
         project(u1)
-        pm, pp = slopes(u1)
-        u1[1:-1] -= dt * flux(pm, pp)
+        slopes(u1)
+        euler(u1, dt)
         u += u1
         u *= 0.5
         project(u)
         t += dt
+        steps += 1
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         if abs(t - targets[0]) <= 1e-12 * max(1.0, targets[0]):
             t = targets[0]
             fields.append(Field(x=grid.x.copy(), t=t, values=u.copy()))
             targets.pop(0)
-    return fields
+    return fields, {"steps": steps, "dt_min": float(dt_min),
+                    "dt_max": float(dt_max)}
 
 
-def _lipschitz_sweep(u, beta, h):
+def _lipschitz_sweep(u, ramp, work):
     """Min-plus projection onto the cone of beta-Lipschitz grid functions:
-    u_j <- min_k u_k + beta h |j - k|, one cumulative minimum per side."""
-    ramp = beta * h * np.arange(len(u))
-    u[:] = ramp + np.minimum.accumulate(u - ramp)
-    u[::-1] = ramp + np.minimum.accumulate(u[::-1] - ramp)
+    u_j <- min_k u_k + beta h |j - k|, one cumulative minimum per side, in
+    place; ramp holds beta h j and work is scratch of the length of u."""
+    for v in (u, u[::-1]):
+        np.subtract(v, ramp, out=work)
+        np.minimum.accumulate(work, out=work)
+        np.add(ramp, work, out=v)
 
 
 def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
@@ -198,17 +234,17 @@ def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
     caps = {}
     for side, bound in ((+1.0, hi), (-1.0, -lo)):
         bound *= 1 - _EDGE_MARGIN
-        core = first_reach(h, side, bound,
-                           lambda H, G: np.abs(G) >= speed_target)
-        full = first_reach(h, side, bound, lambda H, G: (
+        core = first_reach(h, side, bound, (1,),
+                           lambda G: np.abs(G) >= speed_target)
+        full = first_reach(h, side, bound, (0, 1), lambda H, G: (
             np.abs(G) >= speed_target) & (H >= value_target))
         caps[side] = side * core, side * full
     (core_max, pmax), (core_min, pmin) = caps[+1.0], caps[-1.0]
     tab = HTable(h, _table_knots(pmin, pmax, core_min, core_max))
-    fields = _march(tab, grid)
+    fields, stats = _march(tab, grid)
     return FieldHistory(fields=fields, meta={
         "scheme": "eno2-godunov-heun", "n": grid.n, "A": grid.A,
-        "p_min": pmin, "p_max": pmax})
+        "p_min": pmin, "p_max": pmax, **stats})
 
 
 def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
@@ -223,15 +259,15 @@ def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
     # while the rarefaction fan from the boundary is exact inside its
     # reach; both effects stay well below the verification tolerances.
     value_cap = max(5.0, abs(float(h.value(0.8 * beta0))))
-    pmax = first_reach(h, +1.0, edge, lambda H, G: np.abs(H) >= value_cap)
+    pmax = first_reach(h, +1.0, edge, (0,), lambda H: np.abs(H) >= value_cap)
     pmin = -pmax
     if math.isfinite(h.domain[0]):
         pmin = max(pmin, h.domain[0] * (1 - _EDGE_MARGIN))
     tab = HTable(h, np.linspace(pmin, pmax, _TABLE_SIZE))
-    fields = _march(tab, grid, sweep_beta=beta0)
+    fields, stats = _march(tab, grid, sweep_beta=beta0)
     return FieldHistory(fields=fields, meta={
         "scheme": "eno2-godunov-heun+lipschitz", "n": grid.n, "A": grid.A,
-        "beta0": beta0, "p_min": pmin, "p_max": pmax})
+        "beta0": beta0, "p_min": pmin, "p_max": pmax, **stats})
 
 
 def lax_oleinik_field(L, grid: HJGrid, t) -> Field:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ldp.hamiltonian as ham
 from ldp import Hamiltonian, Lagrangian, build_kernel, scaled_kernel
-from ldp.hamiltonian import HTable, eval_batch, eval_h_ess
+from ldp.hamiltonian import HTable, eval_batch, eval_h_ess, first_reach
 
 import _quad_oracle as Q
 
@@ -97,6 +97,61 @@ def test_table_slopes_nondecreasing(name):
     inner = h.batch(tab.ps, (1,))[0, 1:-1]
     assert np.all(tab.slopes[:-1] <= inner + 1e-9 * np.abs(inner))
     assert np.all(inner <= tab.slopes[1:] + 1e-9 * np.abs(inner))
+
+
+def test_table_speed_reads_the_end_cells():
+    # H = e^p - 2p on uneven knots: H' changes sign at p* = ln 2, so the
+    # top speed sits in the cell of lo or in that of hi
+    h = Hamiltonian.from_callables(
+        value=lambda p: math.exp(p) - 2 * p,
+        grad=lambda p: np.exp(np.ravel(p)) - 2.0, hess=lambda p: 1.0)
+    ps = np.cumsum(np.random.default_rng(5).uniform(0.1, 0.5, 24)) - 4.0
+    tab = HTable(h, ps)
+    speeds = np.abs(tab.slopes)
+
+    def cell(p):
+        # the cell (ps[k], ps[k + 1]] holding p; the end cells beyond
+        for k in range(len(speeds)):
+            if p <= ps[k + 1]:
+                return k
+        return len(speeds) - 1
+
+    inside = [ps[0] + 0.3 * (ps[1] - ps[0]), 0.1, math.log(2.0), 1.2]
+    knots = [ps[0], ps[3], ps[11], ps[-2], ps[-1]]
+    outside = [ps[0] - 1.0, ps[-1] + 0.7]
+    probes = sorted(inside + knots + outside)
+    for i, lo in enumerate(probes):
+        for hi in probes[i:]:
+            got = tab.speed(lo, hi)
+            assert got == max(speeds[cell(lo)], speeds[cell(hi)])
+            # H is convex: no cell between them is faster
+            assert got == max(speeds[cell(lo):cell(hi) + 1])
+
+
+def test_first_reach_tabulates_only_the_moments_it_reads():
+    calls = {"value": 0, "grad": 0}
+
+    def value(p):
+        calls["value"] += 1
+        return 0.5 * float(np.ravel(p)[0]) ** 2
+
+    def grad(p):
+        calls["grad"] += 1
+        return np.array([float(np.ravel(p)[0])])
+
+    h = Hamiltonian.from_callables(value=value, grad=grad,
+                                   hess=lambda p: 1.0)
+    for moments, good, crossing in (
+            ((1,), lambda G: G >= 5.0, 5.0),
+            ((0,), lambda H: H >= 8.0, 4.0),
+            ((0, 1), lambda H, G: (H >= 8.0) & (G >= 3.0), 4.0)):
+        calls.update(value=0, grad=0)
+        t = first_reach(h, +1.0, math.inf, moments, good)
+        assert crossing <= t <= crossing * (1 + 1e-6)
+        probes = max(calls.values())
+        assert probes > 0
+        assert calls == {"value": probes if 0 in moments else 0,
+                         "grad": probes if 1 in moments else 0}
 
 
 @pytest.mark.parametrize("name", ["exp_linear", "tempered_stable"])

@@ -92,6 +92,17 @@ def test_hj_csv(compact_spec, tmp_path):
     assert np.all(vals >= 0.0) and np.all(vals <= 2.0)
 
 
+@pytest.mark.parametrize("spec", ["compact_spec", "critical_spec"])
+def test_hj_csv_carries_the_march_stats(spec, request, tmp_path):
+    out = str(tmp_path / "hj.csv")
+    assert main(["hj", "--kernel", request.getfixturevalue(spec), "--A", "2",
+                 "--grid", "49", "--tmax", "0.5", "--out", out]) == 0
+    meta = dict(l[2:].split("=", 1) for l in Path(out).read_text()
+                .splitlines() if l.startswith("# "))
+    assert int(meta["steps"]) > 0
+    assert 0 < float(meta["dt_min"]) <= float(meta["dt_max"]) <= 0.5
+
+
 def test_sweep_deterministic_and_reingestable(compact_spec, tmp_path):
     outs = []
     for tag in ("a", "b"):

@@ -145,7 +145,9 @@ def test_asymmetric_2d_conjugate_matches_closed_form(anisotropic_drifted_h):
 @pytest.mark.parametrize("dim,q", [(1, 2.0), (2, [1.5, 0.5])])
 def test_l_solve_takes_each_moment_once_per_point(monkeypatch, dim, q):
     # a Newton point takes H' and H'' from one engine call; in 2-D two
-    # calls would both integrate |DH| at the same |p|
+    # calls would both integrate |DH| at the same |p|.  H is taken once,
+    # for the value at the solution: carrying it at every Newton point
+    # costs more than that one call
     seen = []
     engine = hamiltonian._jump_moments
 
@@ -158,3 +160,7 @@ def test_l_solve_takes_each_moment_once_per_point(monkeypatch, dim, q):
     res = conjugate(Hamiltonian.from_kernel(kernel), q)
     assert res.iterations > 0 and not res.hit_domain_boundary
     assert len(set(seen)) == len(seen)
+    values = [p for p, m in seen if m == 0]
+    assert len(values) == 1
+    assert values[0] == pytest.approx(float(np.linalg.norm(res.argmax)),
+                                      rel=1e-15)

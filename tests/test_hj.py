@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,32 @@ def test_symmetric_data_symmetric_solution(quad_solution):
     assert np.max(np.abs(v - v[::-1])) <= 1e-10
 
 
+def test_fixed_dt_march_matches_hopf_lax_oracle():
+    # dt = h / p_max, at the CFL bound: H'(p) = p, so no cell of the
+    # table, which ends at p_max, is steeper than p_max
+    h = quadratic_h()
+    snaps = [0.5, 1.0]
+    adaptive = HJGrid(n=99, T=1.0, A=3.0, snapshots=snaps)
+    dt = adaptive.h / solve_hj(h, adaptive).meta["p_max"]
+    grid = HJGrid(n=99, T=1.0, A=3.0, dt=dt, snapshots=snaps)
+    hist = solve_hj(h, grid)
+    L = Lagrangian(h)
+    for t in snaps:
+        oracle = lax_oleinik_field(L, grid, t)
+        assert np.max(np.abs(hist.at_time(t).values - oracle.values)) <= 0.06
+    # full steps of dt, and one shorter step onto each snapshot
+    gaps = np.diff([0.0] + snaps)
+    assert hist.meta["steps"] == sum(math.ceil(g / dt) for g in gaps)
+    assert hist.meta["dt_max"] == dt
+    assert 0 < hist.meta["dt_min"] < dt
+
+
+def test_adaptive_march_stats(quad_solution):
+    meta = quad_solution[0].meta
+    assert meta["steps"] > 0
+    assert 0 < meta["dt_min"] <= meta["dt_max"]
+
+
 def test_user_dt_cfl_check():
     grid = HJGrid(n=99, T=0.5, A=2.0, dt=0.5)
     with pytest.raises(CFLViolation):
@@ -77,6 +105,27 @@ def test_constrained_slope_bound(critical_h):
     for f in hist.fields:
         slopes = np.abs(np.diff(f.values)) / h
         assert np.max(slopes) <= beta0 + 2 * h
+
+
+def test_constrained_solve_reads_h_only():
+    # its slope cap and its table read H, never H'
+    grads = []
+
+    def value(p):
+        s = float(np.ravel(p)[0])
+        return s * s / (1 - s * s)
+
+    def grad(p):
+        grads.append(p)
+        s = float(np.ravel(p)[0])
+        return np.array([2 * s / (1 - s * s) ** 2])
+
+    h = Hamiltonian.from_callables(value=value, grad=grad,
+                                   hess=lambda p: 2.0, domain=(-1.0, 1.0))
+    hist = solve_hj_constrained(h, 1.0, HJGrid(n=49, T=0.5, A=2.0))
+    assert grads == []
+    assert hist.meta["steps"] > 0
+    assert 0 < hist.meta["dt_min"] <= hist.meta["dt_max"] <= 0.5
 
 
 def test_grid_validation():
