@@ -333,7 +333,7 @@ def k_transform(kernel, p) -> ConjugateResult:
             iterations=0, hit_domain_boundary=False)
 
     # intermediate: maximize phi(r) = pr * r + ln J(r) over r > 0
-    logj = kernel.log_radial_density
+    logj = kernel.log_j
 
     def neg_phi(r):
         return -(pr * r + float(logj(r)))

@@ -7,10 +7,11 @@ the essential Hamiltonian H^ess(p) = int_{|y|>rho0/2} e^{p.y} J(y) dy,
 which carries the growth of H.
 
 One engine gives H, H', H'' and H^ess for a whole array of p from fixed
-Gauss-Legendre panels: split at delta, at |y| = 1, at rho0/2, at the
-support edges and at the kernel's jumps; halved until their end points
-differ by at most a factor 2 and ln(e^{py} J) spreads little over each
-for the batch's extreme p; geometric out to one tail cut sized for the
+Gauss-Legendre panels (those of `ldp.kernels`, which every integral of J
+shares): split at delta, at |y| = 1, at rho0/2, at the support edges
+and at the kernel's jumps; halved until their end points differ by at
+most a factor 2 and ln(e^{py} J) spreads little over each for the
+batch's extreme p; geometric out to one tail cut sized for the
 largest |p|.  Singular kernels take y = u^2 near the origin.  Integrands
 are formed as exp(p y + ln J(y)), so huge exponential factors against
 tiny densities never overflow, and p is processed in chunks.  For a
@@ -36,7 +37,7 @@ from scipy.integrate import quad  # noqa: F401
 from scipy.special import i0e, i1e
 
 from .errors import DomainViolation, NonConvergence, ValidationError
-from .kernels import Kernel
+from .kernels import _FAR, _U_MIN, Kernel, _ray_rule, _rays
 
 _DOMAIN_MARGIN = 1e-6
 
@@ -131,26 +132,6 @@ def _as_point(params, v, name="p"):
 # Jump integrals: one Gauss-Legendre rule for a whole array of p
 # ---------------------------------------------------------------------------
 
-def _gauss_legendre(n):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], by Newton's
-    method on the Legendre recurrence (no eigensolver, no LAPACK)."""
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(8):
-        p, q = x, np.ones(n)        # P_k and P_{k-1} at x
-        for k in range(2, n + 1):
-            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
-        dp = n * (x * p - q) / (x * x - 1)
-        x = x - p / dp
-    return x, 2 / ((1 - x * x) * dp * dp)
-
-
-_GL_X, _GL_W = _gauss_legendre(20)
-_SAMPLES = np.linspace(0.0, 1.0, 9)   # where a panel's spread is measured
-_SPAN = 12.0            # largest spread of ln(e^{py} J) over one panel
-_LOG_TINY = math.log(1e-24)   # drop panels below this times J(rho0/2)
-_U_MIN = 1e-5           # singular kernels: u-panels stop at y = _U_MIN^2
-_FAR = 1e9              # unbounded supports: panels reach at most this far
-_MAX_PANELS = 4096
 _RULES_KEPT = 32        # rules cached per HamiltonianParams, oldest dropped
 #                         (a cold L solve visits 4-6 rungs, a series of
 #                         solves over a q range a few dozen)
@@ -162,55 +143,6 @@ _EXPM1MX = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
 _I0M1 = [1.0 / math.factorial(k) ** 2 for k in range(8, 0, -1)]
 
 
-def _side_rule(logj, knots, singular, p_ends, floor):
-    """Nodes t > 0 and weights along one ray, over the intervals between
-    `knots` (increasing from 0 or rho0/2), resolving e^{pt + logj(t)} for
-    p in p_ends down to e^floor.  Singular kernels take t = u^2 on the
-    first interval, down to u = _U_MIN."""
-    ends = list(zip(knots[:-1], knots[1:]))
-    if singular:
-        ends[0] = (_U_MIN, math.sqrt(knots[1]))
-    # geometric panels whose end points differ by a factor 2 at most ...
-    parts = [np.geomspace(u, v, math.ceil(math.log2(v / u)) + 1)
-             if u > 0 and v > 2 * u else np.array([u, v]) for u, v in ends]
-    a = np.concatenate([e[:-1] for e in parts])
-    b = np.concatenate([e[1:] for e in parts])
-    sq = np.arange(a.size) < (parts[0].size - 1 if singular else 0)
-    # ... halved where the log-integrand spreads by more than _SPAN at an
-    # end of the p range, unless negligible there; the panels negligible
-    # at both ends (and so for every p between) are dropped: the tail cut
-    for _ in range(64):
-        v = a[:, None] + (b - a)[:, None] * _SAMPLES
-        t = np.where(sq[:, None], v * v, v)
-        phi = np.stack([p * t + logj(t) for p in p_ends])
-        top = phi.max(axis=-1)
-        tiny = (top + np.log(t[:, -1] - t[:, 0])
-                + 2 * np.log(np.maximum(t[:, -1], 1.0)) < floor)
-        fine = tiny | (top - phi.min(axis=-1) <= _SPAN)
-        keep = ~tiny.all(axis=0)
-        split = keep & ~fine.all(axis=0)
-        whole = keep & ~split
-        mid = 0.5 * (a + b)
-        a = np.concatenate([a[whole], a[split], mid[split]])
-        b = np.concatenate([b[whole], mid[split], b[split]])
-        sq = np.concatenate([sq[whole], sq[split], sq[split]])
-        if not split.any():
-            break
-        if a.size > _MAX_PANELS:
-            raise NonConvergence("the H quadrature needs too many panels")
-    else:
-        raise NonConvergence("the H quadrature panels did not settle")
-    if b.size and b.max() >= _FAR:
-        raise NonConvergence(
-            "no tail cut: p too close to the critical exponent or kernel "
-            "decay too slow")
-    half = 0.5 * (b - a)[:, None]
-    v = 0.5 * (a + b)[:, None] + half * _GL_X
-    w = half * _GL_W
-    sq = sq[:, None]
-    return np.where(sq, v * v, v).ravel(), np.where(sq, 2 * v * w, w).ravel()
-
-
 def _rung(p, edge):
     """p >= 0 rounded up to the ladder 2^{j/4}, or edge (1 - 2^{-j/4})
     below a finite domain edge: batches whose p ranges round to the same
@@ -220,47 +152,18 @@ def _rung(p, edge):
     return 2 ** (math.ceil(4 * math.log2(p)) / 4) if p > 0 else 0.0
 
 
-def _rays(k):
-    """ln J and the rays from the origin the integrals run along: both
-    sides of the line in 1-D, the radii r > 0 in 2-D."""
-    if k.dimension == 2:
-        return k.log_radial_density, (1.0,)
-    return k.log_density_1d, (1.0, -1.0)
-
-
 def _rule(params, p_lo, p_hi, essential):
     """Nodes y, weights w, ln J and J at the nodes for the integral over
     the line, or in 2-D over the radii with the polar 2 pi r in w (over
     |y| > rho0/2 if essential), for every p in [p_lo, p_hi] (p_lo <= 0 <=
     p_hi; in 2-D p is |p| and p_lo = 0)."""
     k = params.kernel
-    lnj, sides = _rays(k)
-    radial = k.dimension == 2
-    singular = k.singularity_exponent > 0 and not essential
-    start = k.rho0 / 2 if essential else 0.0
-
-    def logj(t, side):
-        # the panel tests bound the integrand by t^2 e^{pt} J in 1-D; in
-        # 2-D the polar r adds a factor, bounded by max(r, 1)
-        out = lnj(side * t)
-        return out + np.log(np.maximum(t, 1.0)) if radial else out
-
-    floor = _LOG_TINY + max(float(logj(k.rho0 / 2, side)) for side in sides)
-    ys, ws = [], []
-    for side in sides:
-        edge = min(side * k.support[side > 0], _FAR)
-        if edge <= start:
-            continue
-        cuts = {params.delta_split, 1.0, k.rho0 / 2}
-        cuts |= {side * j for j in k.jumps if side * j > 0}
-        knots = sorted({start, edge} | {c for c in cuts if start < c < edge})
-        t, w = _side_rule(lambda t: logj(t, side), knots, singular,
-                          (side * p_lo, side * p_hi), floor)
-        ys.append(side * t)
-        ws.append(w)
-    y, w = np.concatenate(ys), np.concatenate(ws)
-    lj = lnj(y)
-    return y, 2 * math.pi * y * w if radial else w, lj, np.exp(lj)
+    y, w = _ray_rule(k, (k.rho0 / 2 if essential else 0.0,
+                         params.delta_split, _FAR),
+                     k.singularity_exponent > 0 and not essential,
+                     (p_lo, p_hi))
+    lj = k.log_j(y)
+    return y, w, lj, np.exp(lj)
 
 
 def _radial_integrand(m, essential, x, y, e, jv):
@@ -309,10 +212,13 @@ def _jump_moments(params, ps, moments, essential):
         x = p * y
         e = np.exp(x + lj)
         if not (essential or radial):
-            # where |p y| is small, e^{py} - 1 (- p y) from its series
+            # where |p y| is small, e^{py} - 1 by expm1, and where the
+            # compensator acts, e^{py} - 1 - p y by its series
             near = np.nonzero(np.abs(x) < 0.1)
-            xs, cs, js = x[near], c[near[1]], jv[near[1]]
-            em1 = np.expm1(xs)
+            em1 = np.expm1(x[near])
+            if params.compensated:
+                cs = c[near[1]]
+                comp = near[0][cs], near[1][cs]
         for j, m in enumerate(moments):
             if radial:
                 f = _radial_integrand(m, essential, x, y, e, jv)
@@ -320,11 +226,15 @@ def _jump_moments(params, ps, moments, essential):
                 f = e * y if m == 1 else e
             elif m == 0:
                 f = e - jv - c * x * jv
-                series = np.polyval(_EXPM1MX, xs) * xs * xs
-                f[near] = js * np.where(cs, series, em1)
+                f[near] = jv[near[1]] * em1
+                if params.compensated:
+                    xc = x[comp]
+                    f[comp] = jv[comp[1]] * (np.polyval(_EXPM1MX, xc)
+                                             * xc * xc)
             elif m == 1:
                 f = y * (e - c * jv)
-                f[near] = np.where(cs, y[near[1]] * js * em1, f[near])
+                if params.compensated:
+                    f[comp] = y[comp[1]] * jv[comp[1]] * em1[cs]
             else:
                 f = y * y * e
             # a row sum in fixed order: a p's value does not depend on the

@@ -1,7 +1,9 @@
-"""Jump kernel families and their tail classification.
+"""Jump kernel families, their tail classification, and the quadrature of J.
 
-A kernel is the density J of a (possibly singular) Levy measure on R^N,
-N in {1, 2}.  Each kernel carries:
+A kernel is the log-density ln J of a (possibly singular) Levy measure on
+R^N, N in {1, 2}, given once per family along a ray from the origin: at
+the signed y in 1-D, at the radius r in 2-D, -inf off the support.  Each
+kernel carries:
 
 * an inner support radius ``rho0`` (J is positive on the ball B_rho0),
 * a singularity exponent ``s`` in [0, 2) describing the blow-up of J at the
@@ -13,6 +15,11 @@ N in {1, 2}.  Each kernel carries:
 The tail class decides which asymptotic machinery downstream modules may
 apply (K-transform inversion, gradient-constrained solvers, predicted
 truncation exponents).
+
+Every integral of J runs on one family of fixed Gauss-Legendre panels along
+the kernel's rays (`_ray_rule`): the H engine of `ldp.hamiltonian`, and here
+the masses, `levy_integral`, `tail_reach` and the small-ball moments of
+the nonlocal stencil (`_ray_integrals`).
 """
 
 from __future__ import annotations
@@ -23,10 +30,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as _gamma
 
-from .errors import ValidationError
+from .errors import NonConvergence, ValidationError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -51,10 +57,8 @@ class Kernel:
     family: str
     dimension: int
     params: dict
-    radial_density: Optional[Callable]  # r >= 0 -> J(|y| = r); None if not radial
-    density_1d: Optional[Callable]      # y in R -> J(y); None unless N == 1
-    log_radial_density: Optional[Callable]  # r -> ln J(r), -inf off support
-    log_density_1d: Optional[Callable]      # y -> ln J(y), -inf off support
+    log_j: Callable     # ln J along a ray: signed y in 1-D, radius r in 2-D
+    #                     (-inf off the support)
     symmetric: bool
     singularity_exponent: float
     rho0: float
@@ -65,22 +69,18 @@ class Kernel:
     scale: float = 1.0
     jumps: tuple = ()   # points on a line through 0 where J jumps or kinks
 
-    def density(self, y):
-        """Evaluate J at points y (scalar, 1-D array, or (m, N) array)."""
-        y = np.asarray(y, dtype=float)
-        if self.dimension == 1:
-            return self.density_1d(y)
-        r = np.linalg.norm(np.atleast_2d(y), axis=-1)
-        return self.radial_density(r)
-
     def log_density(self, y):
-        """ln J at points y; -inf off the support.  Evaluated analytically
-        per family so that e^{p.y} J(y) can be formed in log space."""
+        """ln J at points y (scalar or array in 1-D, (..., 2) array in 2-D);
+        -inf off the support."""
         y = np.asarray(y, dtype=float)
-        if self.dimension == 1:
-            return self.log_density_1d(y)
-        r = np.linalg.norm(np.atleast_2d(y), axis=-1)
-        return self.log_radial_density(r)
+        if self.dimension == 2:
+            y = np.hypot(y[..., 0], y[..., 1])
+        return self.log_j(y)
+
+    def density(self, y):
+        """J at points y, as exp(log_density) (inf at a singular origin)."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_density(y))
 
     @property
     def is_compact(self):
@@ -128,22 +128,13 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
         _check_params(family, params, (), ())
         _require(dimension == 1, "asymmetric_1d_demo is one-dimensional")
 
-        def dens(y):
+        def log_j(y):
             y = np.asarray(y, dtype=float)
-            left = 0.5 * np.exp(-np.abs(y)) * (y < 0)
-            right = 0.5 * ((y >= 0) & (y <= 1.0))
-            return left + right
-
-        def log_dens(y):
-            y = np.asarray(y, dtype=float)
-            out = np.where(y < 0, math.log(0.5) - np.abs(y),
-                           np.where(y <= 1.0, math.log(0.5), -np.inf))
-            return out
+            return np.where(y < 0, math.log(0.5) - np.abs(y),
+                            np.where(y <= 1.0, math.log(0.5), -np.inf))
 
         k = Kernel(
-            family=family, dimension=1, params=params,
-            radial_density=None, density_1d=dens,
-            log_radial_density=None, log_density_1d=log_dens,
+            family=family, dimension=1, params=params, log_j=log_j,
             symmetric=False,
             singularity_exponent=0.0, rho0=1.0 if rho0 is None else rho0,
             tail=CriticalTail(beta0=1.0), mass=1.0,
@@ -159,16 +150,9 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
         mass = float(params.get("mass", 1.0))
         _require(rho > 0 and mass > 0, "rho and mass must be positive")
         c = mass / (2 * rho) if dimension == 1 else mass / (math.pi * rho**2)
-
-        def radial(r):
-            r = np.asarray(r, dtype=float)
-            return c * (r <= rho)
-
-        def log_radial(r):
-            r = np.asarray(r, dtype=float)
-            return np.where(r <= rho, math.log(c), -np.inf)
-
-        return _radial_kernel(family, dimension, params, radial, log_radial,
+        return _radial_kernel(family, dimension, params,
+                              lambda t: np.where(np.abs(t) <= rho,
+                                                 math.log(c), -np.inf),
                               s=0.0, support_radius=rho,
                               rho0=rho / 2 if rho0 is None else rho0,
                               tail=CompactTail(rho=rho), mass=mass,
@@ -186,13 +170,8 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
         _require(0.0 <= a <= b <= rho, "dip annulus must sit inside the support")
         c = mass / (2 * rho) if dimension == 1 else mass / (math.pi * rho**2)
 
-        def radial(r):
-            r = np.asarray(r, dtype=float)
-            base = c * (r <= rho)
-            return np.where((r > a) & (r < b), f * base, base)
-
-        def log_radial(r):
-            r = np.asarray(r, dtype=float)
+        def log_j(t):
+            r = np.abs(t)
             base = np.where(r <= rho, math.log(c), -np.inf)
             return np.where((r > a) & (r < b), math.log(f) + base, base)
 
@@ -200,7 +179,7 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
             total = c * (2 * rho - 2 * (b - a) * (1 - f))
         else:
             total = c * math.pi * (rho**2 - (b**2 - a**2) * (1 - f))
-        return _radial_kernel(family, dimension, params, radial, log_radial,
+        return _radial_kernel(family, dimension, params, log_j,
                               s=0.0, support_radius=rho,
                               rho0=rho / 2 if rho0 is None else rho0,
                               tail=CompactTail(rho=rho), mass=total,
@@ -211,20 +190,12 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
         _check_params(family, params, ("alpha",), ("alpha",))
         alpha = float(params["alpha"])
         _require(alpha > 1.0, "exp_power requires alpha > 1")
-
-        def radial(r):
-            r = np.asarray(r, dtype=float)
-            return np.exp(-np.abs(r) ** alpha)
-
-        def log_radial(r):
-            r = np.asarray(r, dtype=float)
-            return -np.abs(r) ** alpha
-
         if dimension == 1:
             mass = 2 * _gamma(1 + 1 / alpha)
         else:
             mass = 2 * math.pi * _gamma(2 / alpha) / alpha
-        return _radial_kernel(family, dimension, params, radial, log_radial,
+        return _radial_kernel(family, dimension, params,
+                              lambda t: -np.abs(t) ** alpha,
                               s=0.0, support_radius=math.inf,
                               rho0=1.0 if rho0 is None else rho0,
                               tail=IntermediateTail(), mass=mass,
@@ -235,16 +206,8 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
         alpha = float(params["alpha"])
         _require(alpha > 0, "exp_linear requires alpha > 0")
         c = alpha / 2 if dimension == 1 else alpha**2 / (2 * math.pi)
-
-        def radial(r):
-            r = np.asarray(r, dtype=float)
-            return c * np.exp(-alpha * np.abs(r))
-
-        def log_radial(r):
-            r = np.asarray(r, dtype=float)
-            return math.log(c) - alpha * np.abs(r)
-
-        return _radial_kernel(family, dimension, params, radial, log_radial,
+        return _radial_kernel(family, dimension, params,
+                              lambda t: math.log(c) - alpha * np.abs(t),
                               s=0.0, support_radius=math.inf,
                               rho0=1.0 if rho0 is None else rho0,
                               tail=CriticalTail(beta0=alpha), mass=1.0,
@@ -252,25 +215,13 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
 
     if family == "super_exp":
         _check_params(family, params, (), ())
-
-        def radial(r):
-            r = np.asarray(r, dtype=float)
-            return np.exp(-np.exp(np.minimum(np.abs(r), 700.0)))
-
-        def log_radial(r):
-            r = np.asarray(r, dtype=float)
-            return -np.exp(np.minimum(np.abs(r), 700.0))
-
-        if dimension == 1:
-            mass = 2 * quad(lambda r: math.exp(-math.exp(r)), 0, 40)[0]
-        else:
-            mass = 2 * math.pi * quad(
-                lambda r: r * math.exp(-math.exp(r)), 0, 40)[0]
-        return _radial_kernel(family, dimension, params, radial, log_radial,
-                              s=0.0, support_radius=math.inf,
-                              rho0=1.0 if rho0 is None else rho0,
-                              tail=IntermediateTail(), mass=mass,
-                              p_domain=(-math.inf, math.inf))
+        k = _radial_kernel(family, dimension, params,
+                           lambda t: -np.exp(np.minimum(np.abs(t), 700.0)),
+                           s=0.0, support_radius=math.inf,
+                           rho0=1.0 if rho0 is None else rho0,
+                           tail=IntermediateTail(), mass=None,
+                           p_domain=(-math.inf, math.inf))
+        return replace(k, mass=float(_ray_integrals(k, 0, (0.0, _FAR))[0]))
 
     if family == "tempered_stable":
         _check_params(family, params, ("alpha", "lam"), ("alpha", "lam"))
@@ -280,17 +231,11 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
         _require(lam > 0, "tempered_stable requires lam > 0")
         N = dimension
 
-        def radial(r):
-            r = np.abs(np.asarray(r, dtype=float))
-            with np.errstate(divide="ignore"):
-                return np.exp(-lam * r) / np.maximum(r, 1e-300) ** (N + alpha)
+        def log_j(t):
+            r = np.abs(t)
+            return -lam * r - (N + alpha) * np.log(np.maximum(r, 1e-300))
 
-        def log_radial(r):
-            r = np.abs(np.asarray(r, dtype=float))
-            with np.errstate(divide="ignore"):
-                return -lam * r - (N + alpha) * np.log(np.maximum(r, 1e-300))
-
-        return _radial_kernel(family, dimension, params, radial, log_radial,
+        return _radial_kernel(family, dimension, params, log_j,
                               s=alpha, support_radius=math.inf,
                               rho0=1.0 if rho0 is None else rho0,
                               tail=CriticalTail(beta0=lam), mass=None,
@@ -299,25 +244,14 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
     raise AssertionError("unreachable")
 
 
-def _radial_kernel(family, dimension, params, radial, log_radial, s,
-                   support_radius, rho0, tail, mass, p_domain, jump_radii=()):
+def _radial_kernel(family, dimension, params, log_j, s, support_radius,
+                   rho0, tail, mass, p_domain, jump_radii=()):
     _require(rho0 > 0, "rho0 must be positive")
     if math.isfinite(support_radius):
         _require(rho0 <= support_radius,
                  "rho0 cannot exceed the support radius")
-
-    def dens1d(y):
-        return radial(np.abs(np.asarray(y, dtype=float)))
-
-    def log_dens1d(y):
-        return log_radial(np.abs(np.asarray(y, dtype=float)))
-
     return Kernel(
-        family=family, dimension=dimension, params=params,
-        radial_density=radial,
-        density_1d=dens1d if dimension == 1 else None,
-        log_radial_density=log_radial,
-        log_density_1d=log_dens1d if dimension == 1 else None,
+        family=family, dimension=dimension, params=params, log_j=log_j,
         symmetric=True, singularity_exponent=s, rho0=rho0, tail=tail,
         mass=mass, support=(-support_radius, support_radius),
         p_domain=p_domain,
@@ -334,16 +268,9 @@ def scaled_kernel(kernel, c):
     """
     _require(c > 0, "scale factor must be positive")
     lc = math.log(c)
-    radial = kernel.radial_density
-    d1 = kernel.density_1d
-    lr = kernel.log_radial_density
-    l1 = kernel.log_density_1d
     return replace(
         kernel,
-        radial_density=(lambda r, _f=radial: c * _f(r)) if radial else None,
-        density_1d=(lambda y, _f=d1: c * _f(y)) if d1 else None,
-        log_radial_density=(lambda r, _f=lr: lc + _f(r)) if lr else None,
-        log_density_1d=(lambda y, _f=l1: lc + _f(y)) if l1 else None,
+        log_j=lambda t, _f=kernel.log_j: lc + _f(t),
         mass=None if kernel.mass is None else c * kernel.mass,
         scale=c * kernel.scale,
     )
@@ -376,58 +303,172 @@ def load_kernel(path):
 
 
 # ---------------------------------------------------------------------------
+# Integrals of J: fixed Gauss-Legendre panels along the kernel's rays
+# ---------------------------------------------------------------------------
+
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], by Newton's
+    method on the Legendre recurrence (no eigensolver, no LAPACK)."""
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p, q = x, np.ones(n)        # P_k and P_{k-1} at x
+        for k in range(2, n + 1):
+            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+        dp = n * (x * p - q) / (x * x - 1)
+        x = x - p / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+_GL_X, _GL_W = _gauss_legendre(20)
+_SAMPLES = np.linspace(0.0, 1.0, 9)   # where a panel's spread is measured
+_SPAN = 12.0            # largest spread of ln(e^{py} J) over one panel
+_LOG_TINY = math.log(1e-24)   # drop panels below this times J(rho0/2)
+_U_MIN = 1e-5           # singular kernels: u-panels stop at y = _U_MIN^2
+_FAR = 1e9              # unbounded supports: panels reach at most this far
+_MAX_PANELS = 4096
+
+
+def _side_rule(logj, knots, singular, p_ends, floor):
+    """Nodes t > 0 and weights along one ray, over the intervals between
+    `knots` (increasing from 0 or rho0/2), resolving e^{pt + logj(t)} for
+    p in p_ends down to e^floor.  Singular kernels take t = u^2 on the
+    first interval, down to u = _U_MIN."""
+    ends = list(zip(knots[:-1], knots[1:]))
+    if singular:
+        ends[0] = (_U_MIN, math.sqrt(knots[1]))
+    # geometric panels whose end points differ by a factor 2 at most ...
+    parts = [np.geomspace(u, v, math.ceil(math.log2(v / u)) + 1)
+             if u > 0 and v > 2 * u else np.array([u, v]) for u, v in ends]
+    a = np.concatenate([e[:-1] for e in parts])
+    b = np.concatenate([e[1:] for e in parts])
+    sq = np.arange(a.size) < (parts[0].size - 1 if singular else 0)
+    # ... halved where the log-integrand spreads by more than _SPAN at an
+    # end of the p range, unless negligible there; the panels negligible
+    # at both ends (and so for every p between) are dropped: the tail cut
+    for _ in range(64):
+        v = a[:, None] + (b - a)[:, None] * _SAMPLES
+        t = np.where(sq[:, None], v * v, v)
+        phi = np.stack([p * t + logj(t) for p in p_ends])
+        top = phi.max(axis=-1)
+        tiny = (top + np.log(t[:, -1] - t[:, 0])
+                + 2 * np.log(np.maximum(t[:, -1], 1.0)) < floor)
+        fine = tiny | (top - phi.min(axis=-1) <= _SPAN)
+        keep = ~tiny.all(axis=0)
+        split = keep & ~fine.all(axis=0)
+        whole = keep & ~split
+        mid = 0.5 * (a + b)
+        a = np.concatenate([a[whole], a[split], mid[split]])
+        b = np.concatenate([b[whole], mid[split], b[split]])
+        sq = np.concatenate([sq[whole], sq[split], sq[split]])
+        if not split.any():
+            break
+        if a.size > _MAX_PANELS:
+            raise NonConvergence("the quadrature of J needs too many panels")
+    else:
+        raise NonConvergence("the quadrature panels of J did not settle")
+    if b.size and b.max() >= _FAR:
+        raise NonConvergence(
+            "no tail cut: p too close to the critical exponent or kernel "
+            "decay too slow")
+    half = 0.5 * (b - a)[:, None]
+    v = 0.5 * (a + b)[:, None] + half * _GL_X
+    w = half * _GL_W
+    sq = sq[:, None]
+    return np.where(sq, v * v, v).ravel(), np.where(sq, 2 * v * w, w).ravel()
+
+
+def _rays(k):
+    """ln J and the rays from the origin the integrals run along: both
+    sides of the line in 1-D, the radii r > 0 in 2-D."""
+    return k.log_j, (1.0,) if k.dimension == 2 else (1.0, -1.0)
+
+
+def _ray_rule(k, knots, singular, p_ends=(0.0,), log_below=math.inf):
+    """Nodes y (signed in 1-D, the radii in 2-D) and weights w (with the
+    polar 2 pi r in 2-D) for the integral over knots[0] <= |y| <= knots[-1]
+    of e^{p.y} times J and powers of |y| up to 2, for every p in p_ends
+    (in 2-D p is |p|).  The panels are cut at the knots between, at the
+    support edges, the kernel's jumps, |y| = 1 and rho0/2, and dropped
+    below 1e-24 of J(rho0/2) and of e^log_below; singular kernels take
+    y = u^2 on the first interval."""
+    lnj, sides = _rays(k)
+    radial = k.dimension == 2
+    start, stop = knots[0], knots[-1]
+
+    def logj(t, side):
+        # the panel tests bound the integrand by t^2 e^{pt} J in 1-D; in
+        # 2-D the polar r adds a factor, bounded by max(r, 1)
+        out = lnj(side * t)
+        return out + np.log(np.maximum(t, 1.0)) if radial else out
+
+    floor = _LOG_TINY + min(log_below, max(float(logj(k.rho0 / 2, side))
+                                           for side in sides))
+    ys, ws = [np.zeros(0)], [np.zeros(0)]
+    for side in sides:
+        edge = min(side * k.support[side > 0], stop)
+        if edge <= start:
+            continue
+        cuts = {1.0, k.rho0 / 2, *knots} | {side * j for j in k.jumps}
+        ts = sorted({start, edge} | {c for c in cuts if start < c < edge})
+        t, w = _side_rule(lambda t: logj(t, side), ts, singular,
+                          [side * p for p in p_ends], floor)
+        ys.append(side * t)
+        ws.append(w)
+    y, w = np.concatenate(ys), np.concatenate(ws)
+    return y, 2 * math.pi * y * w if radial else w
+
+
+def _ray_integrals(k, n, knots, log_below=math.inf):
+    """int y^n J(y) dy over each shell knots[i] < |y| < knots[i + 1]
+    (increasing knots >= 0; y^n signed in 1-D), down to 1e-24 of J(rho0/2)
+    and of e^log_below.  From knots[0] = 0 a singular kernel (n > s) adds
+    the leading-order integral below _U_MIN^2."""
+    singular = k.singularity_exponent > 0 and knots[0] == 0
+    y, w = _ray_rule(k, knots, singular, log_below=log_below)
+    f = y ** n * np.exp(k.log_j(y)) * w
+    shell = np.searchsorted(knots, np.abs(y)) - 1
+    # one sum per side: for a symmetric kernel odd n cancels exactly
+    out = sum(np.bincount(shell[half], f[half], minlength=len(knots) - 1)
+              for half in (y > 0, y < 0))
+    if singular:
+        s, eps = k.singularity_exponent, _U_MIN ** 2
+        lnj, sides = _rays(k)
+        for side in sides:
+            # J(y) ~ J(side eps) (|y| / eps)^{-N-s}; in 2-D the polar r
+            # adds 2 pi eps
+            j_eps = math.exp(float(lnj(side * eps)))
+            if k.dimension == 2:
+                j_eps *= 2 * math.pi * eps
+            out[0] += side ** n * j_eps * eps ** (n + 1) / (n - s)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-def levy_integral(kernel, inner=1e-8, outer=None):
-    """Numerical check of int min(1, |y|^2) J(y) dy (finite for every
-    shipped kernel; the value is a diagnostic, not a normalization)."""
-    radial = kernel.radial_density
-    if radial is None:  # asymmetric 1-D
-        f = kernel.density_1d
-        lo, hi = kernel.support
-        lo = max(lo, -80.0)
-        hi = min(hi, 80.0)
-        val = quad(lambda y: min(1.0, y * y) * float(f(y)), lo, -inner,
-                   points=[-1.0], limit=200)[0]
-        val += quad(lambda y: min(1.0, y * y) * float(f(y)), inner, hi,
-                    points=[1.0] if hi > 1 else None, limit=200)[0]
-        return val
-    N = kernel.dimension
-    surf = 2.0 if N == 1 else 2 * math.pi
-    hi = kernel.support[1] if outer is None else outer
-    hi = min(hi, 80.0)
-
-    def g(r):
-        w = r if N == 2 else 1.0
-        return min(1.0, r * r) * float(radial(r)) * w
-
-    val = quad(g, inner, min(1.0, hi), limit=200)[0]
-    if hi > 1.0:
-        val += quad(g, 1.0, hi, limit=200)[0]
-    return surf * val
+def levy_integral(kernel):
+    """int min(1, |y|^2) J(y) dy on the quadrature panels of J, from the
+    origin to the tail cut (finite for every shipped kernel; the value is a
+    diagnostic, not a normalization)."""
+    return float(_ray_integrals(kernel, 2, (0.0, 1.0))[0]
+                 + _ray_integrals(kernel, 0, (1.0, _FAR))[0])
 
 
 def tail_reach(kernel, tol=1e-16):
-    """Radius beyond which the kernel tail mass is below tol."""
+    """Radius beyond which the kernel tail mass is below tol: the first
+    rung of the ladder max(2, 2 rho0) 1.5^k at which it is."""
     if kernel.is_compact:
         return kernel.tail.rho
     if kernel.family == "asymmetric_1d_demo":
         # left tail (1/2) e^{y}: mass beyond -R is e^{-R}/2
         return max(1.0, math.log(0.5 / tol))
-    radial = kernel.radial_density
-    N = kernel.dimension
-    surf = 2.0 if N == 1 else 2 * math.pi
-    R = max(2.0, 2 * kernel.rho0)
-    for _ in range(60):
-        def g(r):
-            w = r if N == 2 else 1.0
-            return float(radial(r)) * w
-        tail = surf * quad(g, R, R + 200.0, limit=200)[0]
-        if tail < tol:
-            return R
-        R *= 1.5
-    return R
+    # R *= 1.5 per rung: base * 1.5**k would round differently
+    rungs = np.cumprod([max(2.0, 2 * kernel.rho0)] + [1.5] * 59)
+    rungs = rungs[rungs < _FAR]
+    mass = _ray_integrals(kernel, 0, [*rungs, _FAR], math.log(tol))
+    below = np.flatnonzero(np.cumsum(mass[::-1])[::-1] < tol)
+    return float(rungs[below[0]] if below.size else 1.5 * rungs[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -439,62 +480,37 @@ def _low_discrepancy(n, lo, hi, seed=0):
     return lo + (hi - lo) * u
 
 
+def _on_rays(k, r):
+    """J at the radii r along each of the kernel's rays."""
+    lnj, sides = _rays(k)
+    return np.exp(np.concatenate([lnj(side * r) for side in sides]))
+
+
 def is_essentially_ordered(k1, k2, samples=10000, seed=0):
     """Check J1 <= J2 everywhere with strict inequality on some annulus
     {a < |y| < b}, rho0/2 < a < b < rho0.
 
     Returns (ordered, witness) where witness is the annulus (a, b) if
-    ordered, else None.  Sampling is deterministic (low-discrepancy radii).
+    ordered, else None.  Sampling is deterministic (low-discrepancy radii
+    along the kernels' rays).
     """
     _require(k1.dimension == k2.dimension,
              "ordering requires kernels of equal dimension")
     _require(abs(k1.rho0 - k2.rho0) < 1e-12,
              "ordering requires kernels sharing rho0")
-
-    span1 = k1.support[1] if math.isfinite(k1.support[1]) else 80.0
-    span2 = k2.support[1] if math.isfinite(k2.support[1]) else 80.0
-    span = max(span1, span2)
-    radii = _low_discrepancy(samples, 1e-9, span, seed=seed)
-
-    def j_at(k, y):
-        return k.density(y)
-
-    if k1.dimension == 1:
-        pts = np.concatenate([radii, -radii])
-    else:
-        # radial kernels: radii suffice
-        pts = radii if (k1.symmetric and k2.symmetric) else None
-        if pts is None:
-            raise ValidationError("2-D ordering needs radial kernels")
-        v1 = k1.radial_density(pts)
-        v2 = k2.radial_density(pts)
-        if np.any(v1 > v2 * (1 + 1e-12) + 1e-300):
-            return False, None
-        return _find_witness_annulus(k1, k2)
-
-    v1 = j_at(k1, pts)
-    v2 = j_at(k2, pts)
-    if np.any(v1 > v2 * (1 + 1e-12) + 1e-300):
+    span = max(k.support[1] if math.isfinite(k.support[1]) else 80.0
+               for k in (k1, k2))
+    r = _low_discrepancy(samples, 1e-9, span, seed=seed)
+    if np.any(_on_rays(k1, r) > _on_rays(k2, r) * (1 + 1e-12) + 1e-300):
         return False, None
     return _find_witness_annulus(k1, k2)
 
 
 def _find_witness_annulus(k1, k2, subdivisions=8, per_cell=64):
-    lo = k1.rho0 / 2
-    hi = k1.rho0
-    edges = np.linspace(lo, hi, subdivisions + 1)
+    edges = np.linspace(k1.rho0 / 2, k1.rho0, subdivisions + 1)
     for a, b in zip(edges[:-1], edges[1:]):
         r = _low_discrepancy(per_cell, a + 1e-12, b - 1e-12)
-        if k1.dimension == 1:
-            pts = np.concatenate([r, -r])
-        else:
-            pts = r
-        if k1.dimension == 1:
-            v1, v2 = k1.density(pts), k2.density(pts)
-        else:
-            v1, v2 = k1.radial_density(pts), k2.radial_density(pts)
-        gap = v2 - v1
-        scale = np.maximum(np.abs(v2), 1e-300)
-        if np.all(gap > 1e-13 * scale):
+        v1, v2 = _on_rays(k1, r), _on_rays(k2, r)
+        if np.all(v2 - v1 > 1e-13 * np.maximum(np.abs(v2), 1e-300)):
             return True, (float(a), float(b))
     return False, None

@@ -45,12 +45,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (InsufficientData, Saturated, TruncationTooSmall,
                      ValidationError)
 from .fields import Field, FieldHistory
-from .kernels import Kernel, tail_reach
+from .kernels import Kernel, _ray_integrals, tail_reach
 from .rate import predict_log_bound
 
 _BC_MODES = ("whole_line", "dirichlet_zero_outside", "barrier")
@@ -131,7 +130,9 @@ def _stencil(kernel: Kernel, h, A_diff=0.0, B_drift=0.0):
     |y| < delta, add second-difference jumps to +-1 at rate
     (A_diff + m2/2)/h^2 each; the drift B_drift - comp_drift, comp_drift the
     compensator integral of y J(y) between delta and 1 (kernels of
-    singularity order >= 1 only), adds an upwind jump at rate |drift|/h.
+    singularity order >= 1 only; 0 for symmetric ones), adds an upwind jump
+    at rate |drift|/h.  m2 and comp_drift run on the Gauss-Legendre panels
+    of J (`ldp.kernels._ray_integrals`).
     """
     delta = math.sqrt(h) if kernel.singularity_exponent > 0 else 0.0
     lo, hi = kernel.support
@@ -142,16 +143,13 @@ def _stencil(kernel: Kernel, h, A_diff=0.0, B_drift=0.0):
     ys = ks * h
     far = np.abs(ys) >= max(delta, h / 2)
     w = np.zeros(len(ks))
-    w[far] = h * kernel.density_1d(ys[far])
+    w[far] = h * kernel.density(ys[far])
     m2 = 0.0
     drift = B_drift
     if delta > 0:
-        dens = kernel.density_1d
-        m2 = quad(lambda y: y * y * (float(dens(y)) + float(dens(-y))),
-                  0.0, delta, limit=200)[0]
+        m2 = _ray_integrals(kernel, 2, (0.0, delta))[0]
         if kernel.singularity_exponent >= 1:
-            drift -= quad(lambda y: y * (float(dens(y)) - float(dens(-y))),
-                          delta, 1.0, limit=200)[0]
+            drift -= _ray_integrals(kernel, 1, (delta, 1.0))[0]
     centre = -k_lo                  # index of the offset 0
     w[[centre - 1, centre + 1]] += (A_diff + 0.5 * m2) / h ** 2
     w[centre + (1 if drift > 0 else -1)] += abs(drift) / h

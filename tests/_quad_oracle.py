@@ -22,6 +22,9 @@ with the angular integral done by Bessel functions:
     "par":  pi int r^3 J(r) (I_0 + I_2)(|p| r) dr        (curvature along p)
     "perp": pi int r^3 J(r) (I_0 - I_2)(|p| r) dr        (curvature across p)
     "ess":  2 pi int_{r > rho0/2} r J(r) I_0(|p| r) dr   (H^ess)
+
+The integrals of J alone that `ldp.kernels` took by `quad` before they
+moved onto the engine's panels are kept too: tail_reach and radial_mass.
 """
 
 import math
@@ -62,14 +65,14 @@ def _quad_geom(f, a, b):
 
 def _exp_term(kernel, p, y):
     """e^{p y} J(y), formed in log space."""
-    t = p * y + float(kernel.log_density_1d(y))
+    t = p * y + float(kernel.log_density(y))
     assert t < 709.0, "e^{py} J(y) overflows"
     return math.exp(t) if t > -745.0 else 0.0
 
 
 def _tail_cut(kernel, p, side, tol=1e-20):
     """|y| beyond which e^{py} J(y) y^2 has a tail integral below tol."""
-    f = kernel.log_density_1d
+    f = kernel.log_density
     M = max(4.0, 2 * kernel.rho0)
     while M < 1e9:
         y = side * M
@@ -93,13 +96,13 @@ def h_moment(kernel, p, moment, compensated, delta):
         x = p * y
         if abs(x) >= 1.0:
             ej = _exp_term(kernel, p, y)
-            J = float(kernel.density_1d(y))
+            J = float(kernel.density(y))
             if moment == 0:
                 return ej - J - (x * J if c else 0.0)
             if moment == 1:
                 return y * (ej - (J if c else 0.0))
             return y * y * ej
-        J = float(kernel.density_1d(y))
+        J = float(kernel.density(y))
         if J == 0.0:
             return 0.0
         e = math.expm1(x)
@@ -193,9 +196,16 @@ def _log_angular(kind, x):
     return math.log(g) + x if g > 0.0 else -math.inf
 
 
+def _log_radial(kernel):
+    """ln J at the radius r of a radial kernel, in 1-D or 2-D."""
+    if kernel.dimension == 2:
+        return lambda r: kernel.log_density((r, 0.0))
+    return kernel.log_density
+
+
 def _radial_tail_cut(kernel, pr, tol=1e-20):
     """r beyond which r^3 e^{pr r} J(r) has a tail integral below tol."""
-    f = kernel.log_radial_density
+    f = _log_radial(kernel)
     M = max(4.0, 2 * kernel.rho0)
     while M < 1e9:
         t = pr * M + float(f(M)) + 3 * math.log(M)
@@ -210,7 +220,7 @@ def _radial_tail_cut(kernel, pr, tol=1e-20):
 def radial(kernel, pr, kind, delta):
     """A 2-D jump integral of a radial kernel at |p| = pr (see above)."""
     weight, fac = _RADIAL[kind]
-    lr = kernel.log_radial_density
+    lr = _log_radial(kernel)
 
     def f(r):
         lj = float(lr(r)) if r > 0 else -math.inf
@@ -233,3 +243,36 @@ def radial(kernel, pr, kind, delta):
     for u, v in zip(knots[:-1], knots[1:]):
         total += _quad_geom(f, u, v) if u >= 1.0 else _quad(f, u, v)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Integrals of J alone: the former quad paths of ldp.kernels
+# ---------------------------------------------------------------------------
+
+def tail_reach(kernel, tol=1e-16):
+    """The first rung R of max(2, 2 rho0) 1.5^k at which the tail mass of
+    a radial kernel with unbounded support, integrated over [R, R + 200]
+    by quad, is below tol (the former ldp.kernels.tail_reach)."""
+    lr = _log_radial(kernel)
+    N = kernel.dimension
+    surf = 2.0 if N == 1 else 2 * math.pi
+    R = max(2.0, 2 * kernel.rho0)
+    for _ in range(60):
+        def g(r):
+            w = r if N == 2 else 1.0
+            return math.exp(float(lr(r))) * w
+        tail = surf * quad(g, R, R + 200.0, limit=200)[0]
+        if tail < tol:
+            return R
+        R *= 1.5
+    return R
+
+
+def radial_mass(kernel):
+    """The mass of a radial kernel with unbounded support, by quad over
+    [0, 40] (the former super_exp mass of ldp.kernels)."""
+    lr = _log_radial(kernel)
+    N = kernel.dimension
+    surf = 2.0 if N == 1 else 2 * math.pi
+    return surf * quad(lambda r: (r if N == 2 else 1.0)
+                       * math.exp(float(lr(r))), 0, 40)[0]

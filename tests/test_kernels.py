@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import exp1, gamma, gammainc, gammaincc
 
+import _quad_oracle as Q
 from ldp import (ValidationError, build_kernel, kernel_from_dict,
                  load_kernel, scaled_kernel, tail_reach)
 from ldp.kernels import (CompactTail, CriticalTail, IntermediateTail,
@@ -92,6 +94,61 @@ def test_tail_reach(compact_kernel, demo_kernel):
         math.log(0.5 / tol), rel=1e-6)
 
 
+# every family with unbounded support, as radial kernels in 1-D and 2-D
+_UNBOUNDED = [("exp_power", {"alpha": 1.5}), ("exp_power", {"alpha": 2.0}),
+              ("exp_linear", {"alpha": 1.0}), ("exp_linear", {"alpha": 2.5}),
+              ("super_exp", {}),
+              ("tempered_stable", {"alpha": 0.5, "lam": 1.0}),
+              ("tempered_stable", {"alpha": 1.5, "lam": 2.0})]
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("family,params", _UNBOUNDED)
+def test_tail_reach_matches_quad_oracle(family, params, dimension):
+    k = build_kernel(family, dimension, params)
+    assert tail_reach(k) == Q.tail_reach(k)
+
+
+def test_tail_reach_of_unit_mass_exp_power_matches_quad_oracle():
+    k = build_kernel("exp_power", 1, {"alpha": 2.0})
+    unit = scaled_kernel(k, 1.0 / k.mass)
+    assert tail_reach(unit) == Q.tail_reach(unit)
+
+
+def test_tail_reach_super_exp_against_closed_form():
+    # the tail of e^{-e^{|y|}} beyond R is 2 E_1(e^R): 1.8e-10 at the rung
+    # R = 3, 1.8e-41 at R = 4.5 (quad over [3, 203] found 1.7e-11 at 3)
+    k = build_kernel("super_exp", 1)
+    assert 2 * exp1(math.exp(3.0)) > 1e-10 > 2 * exp1(math.exp(4.5))
+    assert tail_reach(k, 1e-10) == 4.5
+
+
+def test_super_exp_mass():
+    # int e^{-e^{|y|}} dy = 2 int_1^inf e^{-u} / u du = 2 E_1(1)
+    k1 = build_kernel("super_exp", 1)
+    assert abs(k1.mass / (2 * exp1(1.0)) - 1) <= 1e-13
+    k2 = build_kernel("super_exp", 2)
+    assert abs(k2.mass / Q.radial_mass(k2) - 1) <= 1e-13
+
+
+def _upper_gamma(s, x):
+    """Gamma(s, x) for non-integer s > -2, by Gamma(s + 1, x) =
+    s Gamma(s, x) + x^s e^{-x} below s = 0."""
+    if s > 0:
+        return gammaincc(s, x) * gamma(s)
+    return (_upper_gamma(s + 1, x) - x ** s * math.exp(-x)) / s
+
+
+def test_levy_integral_of_a_singular_kernel():
+    # J = e^{-lam |y|} / |y|^{1 + alpha}: 2 lam^{alpha - 2} gamma(2 - alpha,
+    # lam) on |y| < 1, 2 lam^alpha Gamma(-alpha, lam) beyond
+    alpha, lam = 1.5, 2.0
+    k = build_kernel("tempered_stable", 1, {"alpha": alpha, "lam": lam})
+    exact = (2 * lam ** (alpha - 2) * gammainc(2 - alpha, lam)
+             * gamma(2 - alpha) + 2 * lam ** alpha * _upper_gamma(-alpha, lam))
+    assert levy_integral(k) == pytest.approx(exact, rel=1e-9)
+
+
 def test_essential_ordering_witness(compact_kernel):
     dipped = build_kernel("compact_custom", 1,
                           {"rho": 1.0, "dip_a": 0.25, "dip_b": 0.5,
@@ -102,6 +159,19 @@ def test_essential_ordering_witness(compact_kernel):
     a, b = witness
     assert 0.25 <= a < b <= 0.5
     ordered_rev, _ = is_essentially_ordered(compact_kernel, dipped)
+    assert not ordered_rev
+
+
+def test_essential_ordering_witness_2d():
+    full = build_kernel("compact_uniform", 2, {"rho": 1.0})
+    dipped = build_kernel("compact_custom", 2,
+                          {"rho": 1.0, "dip_a": 0.25, "dip_b": 0.5,
+                           "dip_factor": 0.5})
+    ordered, witness = is_essentially_ordered(dipped, full)
+    assert ordered
+    a, b = witness
+    assert 0.25 <= a < b <= 0.5
+    ordered_rev, _ = is_essentially_ordered(full, dipped)
     assert not ordered_rev
 
 

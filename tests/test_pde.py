@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gamma, gammainc
 
 from _oracles import dense_nonlocal_solution
 from ldp import (Field, FieldHistory, InsufficientData, Saturated, SimConfig,
@@ -105,7 +108,7 @@ def test_matches_dense_matrix_exponential(compact_kernel, bc_mode, A_diff,
                     n_per_unit=8, domain_truncation=15.0)
     f = simulate(cfg).at_time(0.5)
     x, ref = dense_nonlocal_solution(
-        compact_kernel.density_1d, compact_kernel.params["rho"], R=4.0,
+        compact_kernel.density, compact_kernel.params["rho"], R=4.0,
         T=0.5, h=cfg.h, L=15.0, A_diff=A_diff, B_drift=B_drift,
         bc_mode=bc_mode, u0=u0)
     assert np.array_equal(x, f.x)
@@ -158,6 +161,59 @@ def test_stencil_weights_match_pointwise_density(family, params):
     far = np.abs(ks * h) >= math.sqrt(h)    # beyond any split radius
     ref = [h * float(kernel.density(k * h)) for k in ks[far]]
     np.testing.assert_allclose(w[far], ref, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha,lam", [(0.5, 1.0), (1.5, 1.0), (1.5, 2.0)])
+def test_stencil_small_ball_moment_closed_form(alpha, lam):
+    # m2 = int_{|y| < delta} y^2 e^{-lam |y|} / |y|^{1 + alpha} dy
+    #    = 2 lam^{alpha - 2} gamma(2 - alpha, lam delta); it sets the rate
+    # (m2 / 2) / h^2 of the jumps to +-1 (no drift: the kernel is symmetric)
+    kernel = build_kernel("tempered_stable", 1, {"alpha": alpha, "lam": lam})
+    h = 1.0 / 16
+    delta = math.sqrt(h)
+    ks, w = _stencil(kernel, h)
+    centre = int(np.flatnonzero(ks == 0)[0])
+    assert w[centre - 1] == w[centre + 1]
+    m2 = 2 * h * h * w[centre + 1]
+    exact = (2 * lam ** (alpha - 2) * gammainc(2 - alpha, lam * delta)
+             * gamma(2 - alpha))
+    assert abs(m2 / exact - 1) <= 1e-10
+
+
+# every 1-D family, with parameters that keep the kernel reach short
+_FAMILIES_1D = [
+    ("compact_uniform", {"rho": 1.0}),
+    ("compact_custom", {"rho": 1.5, "dip_a": 0.3, "dip_b": 0.8,
+                        "dip_factor": 0.25}),
+    ("exp_power", {"alpha": 2.0}),
+    ("exp_linear", {"alpha": 2.5}),
+    ("super_exp", {}),
+    ("tempered_stable", {"alpha": 1.5, "lam": 2.0}),
+    ("asymmetric_1d_demo", {}),
+]
+
+
+@pytest.mark.parametrize("family,params", _FAMILIES_1D)
+@settings(max_examples=8, deadline=None)
+@given(R1=st.floats(1.0, 5.0), dR=st.floats(0.25, 1.0),
+       T=st.floats(0.1, 0.5), amp=st.floats(0.0, 1.0),
+       phase=st.floats(0.0, 2 * math.pi))
+def test_comparison_principle_and_monotonicity_in_R(family, params, R1, dR,
+                                                     T, amp, phase):
+    # u >= u_R (comparison principle) for R = R1 < R2, and u_R1 <= u_R2 on
+    # |x| <= R1 (u_R grows with R), on one grid
+    kernel = build_kernel(family, 1, params)
+    u0 = lambda x: 1.0 + amp * math.cos(x + phase)
+    common = dict(kernel=kernel, T=T, u0=u0, n_per_unit=8,
+                  domain_truncation=7.0 + tail_reach(kernel))
+    u = simulate(SimConfig(R=R1 + dR, bc_mode="whole_line",
+                           **common)).at_time(T)
+    u1, u2 = (simulate(SimConfig(R=R, **common)).at_time(T)
+              for R in (R1, R1 + dR))
+    assert np.min(u.values - u1.values) >= -1e-12
+    assert np.min(u.values - u2.values) >= -1e-12
+    inside = np.abs(u.x) <= R1 + 1e-12
+    assert np.min((u2.values - u1.values)[inside]) >= -1e-12
 
 
 def test_kernel_below_grid_resolution_leaves_data_unchanged():
