@@ -10,8 +10,8 @@ from .kernels import (Kernel, build_kernel, is_essentially_ordered,
                       kernel_from_dict, load_kernel, scaled_kernel,
                       tail_reach)
 from .hamiltonian import Hamiltonian, HamiltonianParams, eval_h, eval_h_ess
-from .conjugate import (ConjugateResult, Lagrangian, TabulatedLagrangian,
-                        conjugate, k_inverse, k_transform)
+from .conjugate import (ConjugateResult, Lagrangian, conjugate, k_inverse,
+                        k_transform)
 from .rate import RateResult, lax_oleinik, predict_log_bound, rate_iinf
 from .fields import Field, FieldHistory
 from .hj import HJGrid, lax_oleinik_field, solve_hj, solve_hj_constrained

@@ -78,12 +78,12 @@ def _cmd_hamiltonian(args):
 
 def _cmd_conjugate(args):
     h = Hamiltonian.from_kernel(load_kernel(args.kernel))
-    lag = Lagrangian(h)
     qs = parse_values(args.q)
+    vals = Lagrangian(h)([[q] for q in qs])
     if len(qs) == 1 and not args.out:
-        print(_fmt(lag(qs[0])))
+        print(_fmt(vals[0]))
         return
-    _write_rows(args.out, ["q", "L"], [(q, lag(q)) for q in qs])
+    _write_rows(args.out, ["q", "L"], zip(qs, vals))
 
 
 def _cmd_kinv(args):
@@ -103,12 +103,12 @@ def _cmd_rate(args):
     ts = parse_values(args.t)
     rows = []
     for t in ts:
-        for x in xs:
-            if args.A is not None:
-                val = lax_oleinik(lag, args.A, [x], t)
-            else:
-                val = rate_iinf(lag, [x], t).value
-            rows.append((x, t, float(val)))
+        # every x at this t from one call
+        if args.A is not None:
+            res = lax_oleinik(lag, args.A, [[x] for x in xs], t)
+        else:
+            res = rate_iinf(lag, [[x] for x in xs], t)
+        rows.extend((x, t, v) for x, v in zip(xs, res.value))
     if len(rows) == 1 and not args.out:
         print(_fmt(rows[0][2]))
         return

@@ -1,10 +1,17 @@
 """Convex conjugates: the Lagrangian L = H*, the K-transform of the kernel
 log-weight, and its inverse.
 
-L(q) = sup_p { p.q - H(p) } is computed by a safeguarded Newton iteration on
-the stationarity equation DH(p) = q (DH is strictly increasing along rays),
-with bisection fallback inside a maintained bracket and boundary handling
-when the supremum is attained at the edge of the finiteness domain of H.
+L(q) = sup_p { p.q - H(p) } solves the stationarity equation DH(p) = q
+(DH is strictly increasing along rays) for a whole array of q at once,
+element by element, after Press et al.'s rtsafe (Numerical Recipes,
+section 9.4): from p = 0 each element brackets its root, by halving the
+distance to a finite edge of the domain of H or by doubling steps, backing
+off where H overflows; then Newton steps inside the bracket, bisecting
+where Newton leaves it or fails to halve the step before last.  Where H'
+never reaches q the supremum is attained at the domain edge.  Each
+iteration makes one engine call for all active q, so a result depends on
+nothing but its q.  A radial H in 2-D is solved the same way along the
+ray of q; an asymmetric one by a damped Newton iteration per point.
 
 K(p) = sup_y { p.y - |y| omega(y) } with omega(y) = -ln J(y) / |y|.  For
 compact kernels the log-weight is flat on the support at the scale that
@@ -20,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import (BelowRange, DomainViolation, NonConvergence,
-                     UnsupportedKernel, ValidationError)
-from .hamiltonian import Hamiltonian, first_reach, grad_hess
+from .errors import (BelowRange, NonConvergence, UnsupportedKernel,
+                     ValidationError)
+from .hamiltonian import Hamiltonian
 from .kernels import CompactTail, CriticalTail
 
 _MAX_ITER = 200
@@ -30,6 +37,8 @@ _MAX_ITER = 200
 
 @dataclass
 class ConjugateResult:
+    """L at one point (scalar fields, argmax an (N,) array) or at each of
+    m points (arrays of length m, argmax (m, N))."""
     value: float
     argmax: np.ndarray
     residual: float
@@ -44,172 +53,182 @@ def _inner_bounds(domain, margin=1e-6):
     return plo, phi
 
 
-def _warm_start(h: Hamiltonian, q):
-    """Cold-start heuristic along the sign of q."""
-    k = h.kernel
-    s = 1.0 if q >= 0 else -1.0
-    if k is None:
-        return 0.0
-    if isinstance(k.tail, CompactTail) and abs(q) > 2:
-        return s * math.log(abs(q)) / k.tail.rho
-    if isinstance(k.tail, CriticalTail) and abs(q) > 1:
-        return s * (1.0 - 1.0 / abs(q)) * k.tail.beta0
-    return 0.0
+def _points(v, N, name):
+    """v as an (m, N) array of finite points, and whether it was one point
+    (a number or an N-vector); in 1-D a flat array holds m points."""
+    v = np.asarray(v, dtype=float)
+    one = v.shape == (N,) or N == 1 and v.ndim == 0
+    if not (one or v.ndim == 2 and v.shape[1] == N or N == 1 and v.ndim == 1):
+        raise ValidationError(f"{name} must be a point with {N} component(s)"
+                              f" or an array of them, not {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{name} must be finite")
+    return v.reshape(-1, N), one
 
 
-def _conjugate_scalar(value, grad, grad_hess, domain, q, p_init=None):
-    """1-D safeguarded Newton for sup_p (p q - H(p)); grad is H', and
-    grad_hess gives H' and H'' at one p together."""
-    plo, phi = _inner_bounds(domain)
+def _batch(h: Hamiltonian, ps, moments):
+    """h.batch at ps, in one call for the p < 0 and one for the p >= 0: a
+    batch whose p straddle 0 needs a quadrature rule of its own, while
+    one-signed batches share the rules of single solves."""
+    if ps.size < 2 or not ps.min() < 0 <= ps.max():
+        return h.batch(ps, moments)
+    neg = ps < 0
+    out = np.empty((len(moments), ps.size))
+    out[:, neg] = h.batch(ps[neg], moments)
+    out[:, ~neg] = h.batch(ps[~neg], moments)
+    return out
 
-    def g(p):
-        return q - grad(p)
 
-    def g_and_curv(p):
-        d1, d2 = grad_hess(p)
-        return q - float(d1), float(d2)
-
-    def g_from(p, pn):
-        # a bracketing step that lands where H cannot be evaluated (it
-        # overflows there) is halved back towards p, where it could
+def _step_back(h: Hamiltonian, p, pn):
+    """The bracketing steps p -> pn of a batch that overflowed, each
+    halved back towards its p while H overflows at its end (64 times at
+    most), and H' there."""
+    G = np.empty(pn.size)
+    for j in range(pn.size):
         for _ in range(64):
             try:
-                return pn, g(pn)
+                G[j] = h.batch(pn[j:j + 1], (1,))[0, 0]
+                break
             except NonConvergence:
-                pn = 0.5 * (p + pn)
-        return pn, g(pn)
-
-    # --- bracket the root of g (g is decreasing) -------------------------
-    p = 0.0 if p_init is None else min(max(p_init, plo), phi)
-    if not (plo < p < phi):
-        p = 0.5 * (max(plo, -1.0) + min(phi, 1.0))
-    gp = g(p)
-    it = 0
-    if gp > 0:
-        a, ga = p, gp
-        b = None
-        step = max(1.0, abs(p))
-        while it < _MAX_ITER:
-            it += 1
-            if math.isfinite(phi):
-                pn = phi if it > 40 else p + (phi - p) * 0.5
-            else:
-                pn = p + step
-                step *= 2
-            pn, gn = g_from(p, pn)
-            if gn <= 0:
-                b, gb = pn, gn
-                break
-            a, ga = pn, gn
-            p = pn
-            if math.isfinite(phi) and phi - p < 1e-13 * max(1.0, abs(phi)):
-                break
-        if b is None:
-            # supremum attained at the domain edge
-            pa = phi
-            return ConjugateResult(
-                value=pa * q - value(pa), argmax=np.array([pa]),
-                residual=abs(g(pa)), iterations=it,
-                hit_domain_boundary=True)
-    else:
-        b, gb = p, gp
-        a = None
-        step = max(1.0, abs(p))
-        while it < _MAX_ITER:
-            it += 1
-            if math.isfinite(plo):
-                pn = plo if it > 40 else p - (p - plo) * 0.5
-            else:
-                pn = p - step
-                step *= 2
-            pn, gn = g_from(p, pn)
-            if gn >= 0:
-                a, ga = pn, gn
-                break
-            b, gb = pn, gn
-            p = pn
-            if math.isfinite(plo) and p - plo < 1e-13 * max(1.0, abs(plo)):
-                break
-        if a is None:
-            pa = plo
-            return ConjugateResult(
-                value=pa * q - value(pa), argmax=np.array([pa]),
-                residual=abs(g(pa)), iterations=it,
-                hit_domain_boundary=True)
-
-    # --- safeguarded Newton inside [a, b] --------------------------------
-    tol = max(1e-10, 1e-12 * abs(q))
-    p = 0.5 * (a + b)
-    gp, hp = g_and_curv(p)
-    dx = dx_old = b - a
-    for _ in range(_MAX_ITER):
-        it += 1
-        if abs(gp) <= tol:
-            break
-        if gp > 0:
-            a = p
+                pn[j] = 0.5 * (p[j] + pn[j])
         else:
-            b = p
-        step = gp / hp if hp > 0 else math.inf
-        # Newton while it stays inside [a, b] and at least halves the step
-        # before last, else bisect (rtsafe): Newton alone creeps along an
-        # exponentially steep H' one unit of ln H' per step
-        if not a < p + step < b or abs(2 * step) > abs(dx_old):
-            step = 0.5 * (a + b) - p
-        dx_old, dx = dx, step
-        p = p + step
-        gp, hp = g_and_curv(p)
-        if b - a < 1e-15 * max(1.0, abs(a) + abs(b)):
+            G[j] = h.batch(pn[j:j + 1], (1,))[0, 0]
+    return pn, G
+
+
+def _solve(h: Hamiltonian, qs):
+    """sup_p (p q - H(p)) for every q of the 1-D array qs (|q| along a ray
+    for a radial H): values, maximisers, residuals, iterations and
+    boundary hits, as arrays.  Each phase keeps its active elements packed
+    and drops those that finish."""
+    plo, phi = _inner_bounds(h.domain)
+    p0 = 0.0 if plo < 0.0 < phi else 0.5 * (max(plo, -1.0) + min(phi, 1.0))
+    g0 = qs - h.batch([p0], (1,))[0, 0]     # g = q - H'(p) falls with p
+    m = qs.size
+    p, resid = np.full(m, p0), np.zeros(m)
+    it, hit = np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
+    a, b = np.empty(m), np.empty(m)
+    # --- bracket the root of g where p0 does not solve g = 0: towards a
+    # finite edge by halving the distance to it (onto it after 40
+    # halvings), else by doubling steps.  pi is the last point short of
+    # the root; the edge is hit when pi comes within 1e-13 of it.
+    i = np.flatnonzero(g0)
+    s = np.sign(g0[i])
+    edge = np.where(s > 0, phi, plo)
+    fin = np.isfinite(edge)
+    close = 1e-13 * np.maximum(1.0, np.abs(edge))
+    pi, Q = p[i], qs[i]
+    step = max(1.0, abs(p0))
+    for k in range(1, _MAX_ITER + 1):
+        if not i.size:
             break
+        pn = pi + s * step
+        step *= 2
+        if fin.any():
+            pn = np.where(fin, edge if k > 40 else pi + (edge - pi) * 0.5, pn)
+        try:
+            G = _batch(h, pn, (1,))[0]
+        except NonConvergence:
+            pn, G = _step_back(h, pi, pn)
+        done = cross = s * (Q - G) <= 0
+        if fin.any():
+            done = cross | (np.abs(edge - pn) < close)
+        if done.any():
+            j = i[done]
+            it[j], hit[j] = k, ~cross[done]
+            a[j] = np.minimum(pi, pn)[done]
+            b[j] = np.maximum(pi, pn)[done]
+            keep = ~done
+            i, s, edge, fin, close, Q, pn = (
+                v[keep] for v in (i, s, edge, fin, close, Q, pn))
+        pi = pn
+    # never crossed: the supremum lies on the domain edge
+    it[i], hit[i] = _MAX_ITER, True
+    p[hit] = np.where(g0[hit] > 0, phi, plo)
+    # --- safeguarded Newton inside [a, b] ---------------------------------
+    i = np.flatnonzero(~hit & (g0 != 0))
+    A, B, Q, kb = a[i], b[i], qs[i], it[i]
+    T = np.maximum(1e-10, 1e-12 * np.abs(Q))
+    P = 0.5 * (A + B)
+    G, C = _batch(h, P, (1, 2))
+    G = Q - G
+    dx = dx_old = B - A             # |last step| and |the one before|
+    done, last = np.abs(G) <= T, np.zeros(i.size, dtype=bool)
+    for n in range(1, _MAX_ITER + 1):
+        # finished: converged at the top of iteration n, or the bracket
+        # collapsed at the end of iteration n - 1
+        if done.any():
+            j = i[done]
+            p[j], resid[j] = P[done], np.abs(G[done])
+            it[j] = kb[done] + n - last[done]
+            keep = ~done
+            i, A, B, Q, kb, T, P, G, C, dx, dx_old = (
+                v[keep] for v in (i, A, B, Q, kb, T, P, G, C, dx, dx_old))
+        if not i.size:
+            break
+        right = G > 0
+        np.copyto(A, P, where=right)
+        np.copyto(B, P, where=~right)
+        step = G / np.where(C > 0, C, np.nan)
+        size = np.abs(step)
+        pn = P + step
+        # Newton while it stays inside [a, b] and at least halves the step
+        # before last, else bisect: Newton alone creeps along an
+        # exponentially steep H' one unit of ln H' per step
+        newton = (A < pn) & (pn < B) & (size + size <= dx_old)
+        step = np.where(newton, step, 0.5 * (A + B) - P)
+        dx_old, dx = dx, np.abs(step)
+        P = P + step
+        G, C = _batch(h, P, (1, 2))
+        G = Q - G
+        last = B - A < 1e-15 * np.maximum(1.0, np.abs(A) + np.abs(B))
+        done = last | (np.abs(G) <= T)
     else:
-        raise NonConvergence(f"conjugate solve did not converge for q={q}")
-    return ConjugateResult(
-        value=p * q - value(p), argmax=np.array([p]), residual=abs(gp),
-        iterations=it, hit_domain_boundary=False)
+        raise NonConvergence(
+            f"conjugate solve did not converge for q={Q[0]}")
+    # --- the value at the maximiser, H' too at the edge for the residual --
+    Hv = np.empty(m)
+    inner = ~hit
+    if inner.any():
+        Hv[inner] = _batch(h, p[inner], (0,))[0]
+    if hit.any():
+        Hv[hit], G = _batch(h, p[hit], (0, 1))
+        resid[hit] = np.abs(qs[hit] - G)
+    return p * qs - Hv, p, resid, it, hit
 
 
-def conjugate(h: Hamiltonian, q, p_init=None):
-    """Legendre-Fenchel transform L(q) = sup_p { p.q - H(p) }."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+def _conjugate(h: Hamiltonian, qs) -> ConjugateResult:
+    """L at every row of the (m, N) array qs of finite points."""
     if h.dimension == 1:
-        qs = float(q[0])
-        init = None if p_init is None else float(np.atleast_1d(p_init)[0])
-        if init is None:
-            init = _warm_start(h, qs)
-        return _conjugate_scalar(
-            lambda p: float(h.value(p)), h.grad_1d,
-            lambda p: h.batch([p], (1, 2))[:, 0], h.domain, qs,
-            p_init=init)
+        value, p, resid, it, hit = _solve(h, qs[:, 0])
+        return ConjugateResult(value, p[:, None], resid, it, hit)
     if h.symmetric:
-        qr = float(np.linalg.norm(q))
-        qhat = q / qr if qr > 0 else np.eye(h.dimension)[0]
-
-        def along(r):
-            # H' and H'' along the ray of q, from one engine call
-            p = r * qhat
-            if h.params is None:
-                g, c = h.grad(p), h.hess_quadform(p, qhat)
-            else:
-                g, c = grad_hess(h.params, p, qhat)
-            return np.dot(g, qhat), c
-
-        res = _conjugate_scalar(
-            lambda r: float(h.value(r * qhat)),
-            lambda r: float(np.dot(h.grad(r * qhat), qhat)), along,
-            h.domain, qr,
-            p_init=None if p_init is None
-            else float(np.dot(np.asarray(p_init), qhat)))
-        return ConjugateResult(
-            value=res.value, argmax=float(res.argmax[0]) * qhat,
-            residual=res.residual, iterations=res.iterations,
-            hit_domain_boundary=res.hit_domain_boundary)
-    return _conjugate_nd(h, q, p_init)
+        qr = np.linalg.norm(qs, axis=1)
+        qhat = qs / np.where(qr > 0, qr, 1.0)[:, None]
+        qhat[qr == 0] = np.eye(h.dimension)[0]     # any ray for q = 0
+        value, r, resid, it, hit = _solve(h, qr)
+        return ConjugateResult(value, r[:, None] * qhat, resid, it, hit)
+    res = [_conjugate_nd(h, q) for q in qs]
+    return ConjugateResult(*(np.array([getattr(r, f) for r in res]) for f in
+                             ("value", "argmax", "residual", "iterations",
+                              "hit_domain_boundary")))
 
 
-def _conjugate_nd(h: Hamiltonian, q, p_init=None):
-    """Damped Newton for small N (asymmetric Hamiltonians)."""
+def conjugate(h: Hamiltonian, q) -> ConjugateResult:
+    """Legendre-Fenchel transform L(q) = sup_p { p.q - H(p) } at one point
+    q (a number in 1-D, an N-vector), or at each of an array of points
+    ((m,) in 1-D, (m, N)) with array fields; q must be finite."""
+    qs, one = _points(q, h.dimension, "q")
+    res = _conjugate(h, qs)
+    # one point: Python scalars, and argmax an (N,) array
+    return ConjugateResult(*(v[0] if v.ndim > 1 else v[0].item() for v in
+                             vars(res).values())) if one else res
+
+
+def _conjugate_nd(h: Hamiltonian, q):
+    """Damped Newton from p = 0 for small N (asymmetric Hamiltonians)."""
     N = h.dimension
-    p = np.zeros(N) if p_init is None else np.asarray(p_init, dtype=float)
+    p = np.zeros(N)
     plo, phi = _inner_bounds(h.domain)
 
     def phi_obj(p):
@@ -254,59 +273,24 @@ def _conjugate_nd(h: Hamiltonian, q, p_init=None):
 
 
 class Lagrangian:
-    """L(q) with warm-started repeat evaluations."""
+    """L = H* as a callable without state: one point q gives a float, an
+    array of points an array, from one batched solve."""
 
     def __init__(self, h: Hamiltonian):
         self.h = h
-        self._last_p = None
 
     def result(self, q) -> ConjugateResult:
-        res = conjugate(self.h, q, p_init=self._last_p)
-        self._last_p = res.argmax
-        return res
+        qs, one = _points(q, self.h.dimension, "q")
+        # one point goes through `conjugate`, so that every single solve is
+        # a call of it (perfbench/tracing.py counts solves by that call)
+        return conjugate(self.h, q) if one else _conjugate(self.h, qs)
 
-    def __call__(self, q) -> float:
+    def __call__(self, q):
         return self.result(q).value
 
     def slope(self, q) -> np.ndarray:
         """DL(q) = argmax p of the conjugate."""
         return self.result(q).argmax
-
-
-class TabulatedLagrangian:
-    """L(q) on a 1-D range via one table of H and the monotone map H'.
-
-    The stationarity equation DH(p) = q is inverted by linear interpolation
-    on a dense table of H'; since L is the Legendre transform, the envelope
-    property makes L(q) = p q - H(p) first-order insensitive to the error in
-    the recovered p, so table accuracy carries over to L almost unharmed.
-    The table spans the slopes p with |H'(p)| up to q_max (or the domain
-    edge); q outside the range of H' it holds raises DomainViolation.
-    Intended for bulk evaluations (reference fields); build cost is the
-    table, every call afterwards is O(log n).
-    """
-
-    def __init__(self, h: Hamiltonian, q_max, points=4001):
-        if h.dimension != 1:
-            raise ValidationError("tabulated Lagrangian is 1-D only")
-        lo, hi = _inner_bounds(h.domain)
-        p_hi = first_reach(h, +1.0, hi, (1,), lambda G: G >= q_max)
-        p_lo = -first_reach(h, -1.0, -lo, (1,), lambda G: G <= -q_max)
-        # the knot p = 0 gives H(0), and with it the bound L >= -H(0)
-        self.ps = np.union1d(np.linspace(p_lo, p_hi, points), [0.0])
-        self.Hv, self.Hg = h.batch(self.ps, (0, 1))
-        self._floor = -float(self.Hv[self.ps == 0.0][0])
-
-    def __call__(self, q) -> float:
-        q = float(q)
-        if not self.Hg[0] <= q <= self.Hg[-1]:
-            raise DomainViolation(
-                f"q={q} outside the tabulated range [{self.Hg[0]:.6g}, "
-                f"{self.Hg[-1]:.6g}]; build the table with a larger q_max")
-        p = float(np.interp(q, self.Hg, self.ps))
-        Hp = float(np.interp(p, self.ps, self.Hv))
-        # the interpolant lies above H: p q - Hp may undershoot -H(0)
-        return max(p * q - Hp, self._floor)
 
 
 # ---------------------------------------------------------------------------

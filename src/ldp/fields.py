@@ -14,6 +14,15 @@ from .errors import ValidationError
 _FMT = "{:.12g}"
 
 
+def _snapshot_times(snapshots, T):
+    """The snapshot times in increasing order ([T] for None), each in
+    (0, T]; NaN lies in no interval."""
+    times = [T] if snapshots is None else sorted(float(s) for s in snapshots)
+    if not times or not all(0 < s <= T + 1e-12 for s in times):
+        raise ValidationError("snapshots must lie in (0, T]")
+    return times
+
+
 @dataclass
 class Field:
     x: np.ndarray

@@ -18,9 +18,10 @@ tiny densities never overflow, and p is processed in chunks.  For a
 radial kernel in 2-D the same panels cover the radii r > 0 and the
 angular integral gives Bessel factors (I_0 - 1 for H, I_1 for |DH|,
 I_0 + I_2 for the curvature along p), formed as the scaled I_n(|p| r)
-e^{-|p| r} times exp(|p| r + ln J(r)).  eval_batch is the 1-D entry point; the scalar
-operations are batches of one in both dimensions; HTable tabulates H in
-one call.
+e^{-|p| r} times exp(|p| r + ln J(r)).  eval_batch is the batched entry
+point, over p in 1-D and over the radii |p| of a radial H in 2-D; the
+scalar operations are batches of one in both dimensions; HTable tabulates
+H in one call.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ class HamiltonianParams:
     B: np.ndarray = None          # (N,); default zero
     compensated: bool = True
     delta_split: Optional[float] = None   # near-origin split radius
+    # H(p) depends on |p| alone: a symmetric kernel (or none), A = a I
+    # and B = 0; set from the fields above
+    symmetric: bool = field(init=False, repr=False, compare=False)
     # quadrature rules of the engine, by p-range rung (see _rung)
     _rules: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -83,6 +87,9 @@ class HamiltonianParams:
                 self.delta_split = min(k.rho0 / 2, 0.5)
         if not (0 < self.delta_split < 1):
             raise ValidationError("delta_split must lie in (0, 1)")
+        self.symmetric = ((k is None or k.symmetric)
+                          and np.allclose(self.B, 0.0)
+                          and np.allclose(self.A, self.A[0, 0] * np.eye(N)))
 
     @property
     def dimension(self):
@@ -97,27 +104,25 @@ def _domain_interval(kernel):
     return kernel.p_domain
 
 
-def _check_domain(kernel, p):
+def _check_domain(kernel, ps):
+    """Every p of ps (radii |p| in 2-D) inside the domain of H, short of
+    its edges by the margin, or DomainViolation."""
     lo, hi = _domain_interval(kernel)
-    if kernel.dimension == 2:
-        r = math.hypot(*p)
-        if math.isfinite(hi) and r > hi * (1 - _DOMAIN_MARGIN):
-            raise DomainViolation(
-                f"|p|={r} outside domain radius {hi} (critical kernel)")
-        return
-    if math.isfinite(hi) and np.max(p) > hi * (1 - _DOMAIN_MARGIN):
-        raise DomainViolation(f"p={np.max(p)} above domain bound {hi}")
-    if math.isfinite(lo) and np.min(p) < lo * (1 - _DOMAIN_MARGIN):
-        raise DomainViolation(f"p={np.min(p)} below domain bound {lo}")
+    name = "|p|" if kernel.dimension == 2 else "p"
+    if math.isfinite(hi) and np.max(ps) > hi * (1 - _DOMAIN_MARGIN):
+        raise DomainViolation(f"{name}={np.max(ps)} above domain bound {hi}")
+    if math.isfinite(lo) and np.min(ps) < lo * (1 - _DOMAIN_MARGIN):
+        raise DomainViolation(f"{name}={np.min(ps)} below domain bound {lo}")
 
 
 def _radius(k, p):
     """|p| for the 2-D radial path, after the domain and symmetry checks
     (hypot: the squares of |p| < 1e-154 would lose digits to subnormals)."""
-    _check_domain(k, p)
+    r = math.hypot(*p)
+    _check_domain(k, r)
     if not k.symmetric:
         raise ValidationError("2-D evaluation requires a radial kernel")
-    return math.hypot(*p)
+    return r
 
 
 def _as_point(params, v, name="p"):
@@ -133,8 +138,8 @@ def _as_point(params, v, name="p"):
 # ---------------------------------------------------------------------------
 
 _RULES_KEPT = 32        # rules cached per HamiltonianParams, oldest dropped
-#                         (a cold L solve visits 4-6 rungs, a series of
-#                         solves over a q range a few dozen)
+#                         (one L solve visits 5-8 rung pairs, one batched
+#                         solve over 801 q of both signs 13)
 _CHUNK = 1 << 12        # float64 entries per temporary (32 KB)
 # 1/k! for k = 13 .. 2: Horner coefficients of e^x - 1 - x
 _EXPM1MX = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
@@ -156,14 +161,21 @@ def _rule(params, p_lo, p_hi, essential):
     """Nodes y, weights w, ln J and J at the nodes for the integral over
     the line, or in 2-D over the radii with the polar 2 pi r in w (over
     |y| > rho0/2 if essential), for every p in [p_lo, p_hi] (p_lo <= 0 <=
-    p_hi; in 2-D p is |p| and p_lo = 0)."""
+    p_hi; in 2-D p is |p| and p_lo = 0); then the mask c of the nodes
+    where the compensator acts, c J, and for a singular kernel (not
+    essential) J(side _U_MIN^2) on each ray."""
     k = params.kernel
     y, w = _ray_rule(k, (k.rho0 / 2 if essential else 0.0,
                          params.delta_split, _FAR),
                      k.singularity_exponent > 0 and not essential,
                      (p_lo, p_hi))
     lj = k.log_j(y)
-    return y, w, lj, np.exp(lj)
+    jv = np.exp(lj)
+    c = (np.abs(y) < 1.0) & params.compensated & (not essential)
+    lnj, sides = _rays(k)
+    j_eps = [math.exp(float(lnj(side * _U_MIN ** 2))) for side in sides
+             if k.singularity_exponent > 0 and not essential]
+    return y, w, lj, jv, c, c * jv, j_eps
 
 
 def _radial_integrand(m, essential, x, y, e, jv):
@@ -194,7 +206,7 @@ def _jump_moments(params, ps, moments, essential):
     every p in ps, as an array (len(moments), len(ps)).  In 2-D ps holds
     radii |p| and the moments are H, |DH| and the curvature along p."""
     k = params.kernel
-    lnj, sides = _rays(k)
+    sides = _rays(k)[1]
     radial = k.dimension == 2
     lo, hi = k.p_domain
     key = (essential, -_rung(-min(ps.min(), 0.0), -lo),
@@ -203,15 +215,16 @@ def _jump_moments(params, ps, moments, essential):
         if len(params._rules) >= _RULES_KEPT:
             del params._rules[next(iter(params._rules))]
         params._rules[key] = _rule(params, key[1], key[2], essential)
-    y, w, lj, jv = params._rules[key]
-    c = (np.abs(y) < 1.0) & params.compensated & (not essential)
+    y, w, lj, jv, c, cjv, j_eps = params._rules[key]
+    # e^{py} - 1 near 0 serves H and the compensated H'
+    small = 0 in moments or params.compensated
     out = np.empty((len(moments), ps.size))
     rows = max(1, _CHUNK // max(y.size, 1))
     for i in range(0, ps.size, rows):
         p = ps[i:i + rows, None]
         x = p * y
         e = np.exp(x + lj)
-        if not (essential or radial):
+        if small and not (essential or radial):
             # where |p y| is small, e^{py} - 1 by expm1, and where the
             # compensator acts, e^{py} - 1 - p y by its series
             near = np.nonzero(np.abs(x) < 0.1)
@@ -225,14 +238,14 @@ def _jump_moments(params, ps, moments, essential):
             elif essential:
                 f = e * y if m == 1 else e
             elif m == 0:
-                f = e - jv - c * x * jv
+                f = e - jv - x * cjv
                 f[near] = jv[near[1]] * em1
                 if params.compensated:
                     xc = x[comp]
                     f[comp] = jv[comp[1]] * (np.polyval(_EXPM1MX, xc)
                                              * xc * xc)
             elif m == 1:
-                f = y * (e - c * jv)
+                f = y * (e - cjv)
                 if params.compensated:
                     f[comp] = y[comp[1]] * jv[comp[1]] * em1[cs]
             else:
@@ -247,18 +260,19 @@ def _jump_moments(params, ps, moments, essential):
     # in 2-D the terms odd in y vanish on every circle, so the leading
     # orders of the compensated integrands apply
     full = params.compensated or radial
-    for side in (sides if s > 0 and not essential else ()):
+    for side, je in zip(sides, j_eps):      # none unless singular
         # int over (0, eps) on this side of the leading-order integrand
         # c_m y^n J(y), with J(y) ~ J(side eps) (|y|/eps)^{-N-s}; in 2-D
         # the angular integral and the polar r add the factor pi eps
-        j_eps = math.exp(float(lnj(side * eps)))
         if radial:
-            j_eps *= math.pi * eps
+            je *= math.pi * eps
         for j, m in enumerate(moments):
             n = 2 if (m == 2 or full) else 1
-            coef = {0: 0.5 * ps * ps if full else ps,
-                    1: ps if full else 1.0, 2: 1.0}[m]
-            out[j] += coef * side ** n * j_eps * eps ** (n + 1) / (n - s)
+            if m == 0:
+                coef = 0.5 * ps * ps if full else ps
+            else:
+                coef = ps if m == 1 and full else 1.0
+            out[j] += coef * side ** n * je * eps ** (n + 1) / (n - s)
     return out
 
 
@@ -270,9 +284,9 @@ def eval_batch(params: HamiltonianParams, ps, moments=(0,),
                essential=False):
     """H (moment 0), H' (1) and H'' (2) at every p of a 1-D array, shape
     (len(moments), len(ps)); essential=True gives H^ess and its derivative
-    (moments 0, 1) instead, without the local terms."""
-    if params.dimension != 1:
-        raise ValidationError("the batched evaluator is one-dimensional")
+    (moments 0, 1) instead, without the local terms.  For a radial H in 2-D
+    ps holds radii |p| and the moments are H, |DH| and the curvature along
+    p, the same on every ray."""
     ps = np.asarray(ps, dtype=float).ravel()
     k = params.kernel
     if (not set(moments) <= ({0, 1} if essential else {0, 1, 2})
@@ -281,14 +295,16 @@ def eval_batch(params: HamiltonianParams, ps, moments=(0,),
                               f"{'H^ess' if essential else 'H'} here")
     if not np.isfinite(ps).all():
         raise ValidationError("p must be finite")
-    out = np.zeros((len(moments), ps.size))
-    if ps.size == 0:
-        return out
-    if k is not None:
+    if params.dimension != 1 and not (params.symmetric and np.all(ps >= 0)):
+        raise ValidationError("in 2-D the batched evaluator takes radii "
+                              "|p| >= 0 of a radial H")
+    if ps.size == 0 or k is None:
+        out = np.zeros((len(moments), ps.size))
+    else:
         _check_domain(k, ps)
-        out += _jump_moments(params, ps, moments, essential)
-    if not essential:
-        a, b = float(params.A[0, 0]), float(params.B[0])
+        out = _jump_moments(params, ps, moments, essential)
+    a, b = float(params.A[0, 0]), float(params.B[0])
+    if not essential and (a or b):
         local = {0: (a * ps + b) * ps, 1: 2 * a * ps + b, 2: 2 * a}
         for j, m in enumerate(moments):
             out[j] += local[m]
@@ -401,10 +417,7 @@ class Hamiltonian:
             hess_quadform=lambda p, nu: hess_quadform(params, p, nu),
             dimension=params.dimension,
             domain=_domain_interval(k),
-            symmetric=(k is None or k.symmetric) and
-                      np.allclose(params.B, 0.0) and
-                      np.allclose(params.A, params.A[0, 0] *
-                                  np.eye(params.dimension)),
+            symmetric=params.symmetric,
             kernel=k,
             params=params,
         )

@@ -62,8 +62,9 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import CFLViolation, DomainViolation, ValidationError
-from .fields import Field, FieldHistory
+from .fields import Field, FieldHistory, _snapshot_times
 from .hamiltonian import HTable, Hamiltonian, first_reach
+from .rate import lax_oleinik
 
 _CFL = 0.9             # dt * max|H'| / h, per Euler stage
 _TABLE_SIZE = 2001
@@ -79,13 +80,12 @@ class HJGrid:
     snapshots: Optional[List[float]] = None
 
     def __post_init__(self):
-        if self.n < 3 or self.T <= 0 or self.A < 0:
-            raise ValidationError("need n >= 3, T > 0, A >= 0")
-        if self.snapshots is None:
-            self.snapshots = [self.T]
-        self.snapshots = sorted(float(s) for s in self.snapshots)
-        if self.snapshots[0] <= 0 or self.snapshots[-1] > self.T + 1e-12:
-            raise ValidationError("snapshots must lie in (0, T]")
+        if not (self.n >= 3 and 0 < self.T < math.inf
+                and 0 <= self.A < math.inf):
+            raise ValidationError("need n >= 3, finite T > 0 and A >= 0")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValidationError("dt must be finite and positive")
+        self.snapshots = _snapshot_times(self.snapshots, self.T)
 
     @property
     def h(self):
@@ -271,23 +271,8 @@ def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
 
 
 def lax_oleinik_field(L, grid: HJGrid, t) -> Field:
-    """Reference field min(A, t L(dist/t)) on the same grid (1-D).
-
-    Each boundary point is swept outward from the boundary, so consecutive
-    conjugate solves are warm-started with nearby arguments; once a branch
-    exceeds the cap A it stays above it (L grows away from its minimum) and
-    the remaining solves are skipped.
-    """
-    x = grid.x
-    m = len(x)
-    branch = np.full((2, m), np.inf)
-    for k, y in enumerate((1.0, -1.0)):
-        order = range(m - 1, -1, -1) if y > 0 else range(m)
-        for i in order:
-            v = t * L(float((x[i] - y) / t))
-            if v >= grid.A:
-                break
-            branch[k, i] = v
-    vals = np.minimum(grid.A, np.min(branch, axis=0))
+    """Reference field min(A, t L(dist/t)) on the same grid (1-D), from one
+    L call over every node and both boundary points."""
+    vals = np.array(lax_oleinik(L, grid.A, grid.x[:, None], t).value)
     vals[0] = vals[-1] = 0.0
-    return Field(x=x, t=t, values=vals)
+    return Field(x=grid.x, t=t, values=vals)

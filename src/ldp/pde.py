@@ -41,14 +41,14 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (InsufficientData, Saturated, TruncationTooSmall,
                      ValidationError)
-from .fields import Field, FieldHistory
+from .fields import Field, FieldHistory, _snapshot_times
 from .kernels import Kernel, _ray_integrals, tail_reach
 from .rate import predict_log_bound
 
@@ -77,30 +77,28 @@ class SimConfig:
     domain_truncation: Optional[float] = None
     n_per_unit: int = 16
     snapshots: Optional[List[float]] = None
+    # the kernel's tail_reach, computed once here for the stencil
+    reach: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.bc_mode not in _BC_MODES:
             raise ValidationError(f"bc_mode must be one of {_BC_MODES}")
-        if self.R <= 0 or self.T <= 0:
-            raise ValidationError("need R > 0 and T > 0")
-        if self.A_diff < 0:
-            raise ValidationError("A_diff must be >= 0")
+        if not (0 < self.R < math.inf and 0 < self.T < math.inf):
+            raise ValidationError("need finite R > 0 and T > 0")
+        if not (0 <= self.A_diff < math.inf and math.isfinite(self.B_drift)):
+            raise ValidationError("need finite A_diff >= 0 and B_drift")
         if self.n_per_unit < 4:
             raise ValidationError("n_per_unit must be at least 4")
         if self.kernel.dimension != 1:
             raise ValidationError("the simulator is 1-D only")
-        reach = tail_reach(self.kernel)
+        self.reach = reach = tail_reach(self.kernel)
         if self.domain_truncation is None:
             self.domain_truncation = self.R + max(reach, 10.0)
-        if self.domain_truncation < self.R + reach - 1e-9:
+        if not self.domain_truncation >= self.R + reach - 1e-9:
             raise TruncationTooSmall(
                 f"domain_truncation {self.domain_truncation} < R + kernel "
                 f"reach {self.R + reach:.3g}")
-        if self.snapshots is None:
-            self.snapshots = [self.T]
-        self.snapshots = sorted(float(s) for s in self.snapshots)
-        if self.snapshots[0] <= 0 or self.snapshots[-1] > self.T + 1e-12:
-            raise ValidationError("snapshots must lie in (0, T]")
+        self.snapshots = _snapshot_times(self.snapshots, self.T)
 
     @property
     def h(self):
@@ -121,9 +119,9 @@ class SimConfig:
         return vals
 
 
-def _stencil(kernel: Kernel, h, A_diff=0.0, B_drift=0.0):
+def _stencil(kernel: Kernel, h, reach, A_diff=0.0, B_drift=0.0):
     """Offsets k and jump rates w_k of the whole discrete generator
-    sum_k w_k (u_{j+k} - u_j).
+    sum_k w_k (u_{j+k} - u_j), out to the kernel's tail_reach `reach`.
 
     w_k = h J(k h) outside the split radius delta (sqrt(h) for singular
     kernels, h/2 otherwise).  A_diff and m2/2, m2 the second moment of J on
@@ -136,7 +134,6 @@ def _stencil(kernel: Kernel, h, A_diff=0.0, B_drift=0.0):
     """
     delta = math.sqrt(h) if kernel.singularity_exponent > 0 else 0.0
     lo, hi = kernel.support
-    reach = tail_reach(kernel)
     k_lo = int(math.floor(max(lo, -reach) / h))
     k_hi = int(math.ceil(min(hi, reach) / h))
     ks = np.arange(k_lo, k_hi + 1)
@@ -184,7 +181,7 @@ def simulate(cfg: SimConfig) -> FieldHistory:
     """
     h = cfg.h
     x = cfg.x
-    ks, w = _stencil(cfg.kernel, h, cfg.A_diff, cfg.B_drift)
+    ks, w = _stencil(cfg.kernel, h, cfg.reach, cfg.A_diff, cfg.B_drift)
     rate = float(np.sum(w))
     u0 = cfg.u0_values(x)
     M = float(np.max(u0))

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conjugate import Lagrangian, k_inverse
+from .conjugate import Lagrangian, _points, k_inverse
 from .errors import MajorizationUnavailable, ValidationError
 from .kernels import CompactTail, CriticalTail, IntermediateTail
 
@@ -40,71 +40,80 @@ def _regime_of(L):
 
 
 def rate_iinf(L: Lagrangian, x, t) -> RateResult:
-    """I_inf(x,t) = min over boundary points y of t L((x - y)/t)."""
-    if t <= 0:
-        raise ValidationError("t must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    N = x.size
-    r = float(np.linalg.norm(x))
-    if r > 1.0 + 1e-12:
+    """I_inf(x,t) = min over boundary points y of t L((x - y)/t), at one
+    point x (a number in 1-D, an N-vector) or at each of an (m, N) array
+    of points, with array fields, from one L call over the boundary
+    candidates of all of them (one per refinement step for an asymmetric
+    L in N-D)."""
+    h = getattr(L, "h", None)
+    N = getattr(h, "dimension", 1)
+    xs, one = _points(x, N, "x")
+    t = float(t)
+    if not 0 < t < math.inf:
+        raise ValidationError("t must be positive and finite")
+    r = np.linalg.norm(xs, axis=1)
+    if np.any(r > 1.0 + 1e-12):
         raise ValidationError("x must lie in the closed unit ball")
-    regime = _regime_of(L)
+    m = len(xs)
 
     if N == 1:
-        cands = [np.array([1.0]), np.array([-1.0])]
-        vals = [t * L(float((x[0] - y[0]) / t)) for y in cands]
-        i = int(np.argmin(vals))
-        return RateResult(vals[i], cands[i], regime)
-
-    symmetric = getattr(getattr(L, "h", None), "symmetric", True)
-    if symmetric:
+        ys = np.array([1.0, -1.0])
+        vals = t * np.reshape(L(((xs - ys) / t).ravel()), (m, 2))
+        i = np.argmin(vals, axis=1)
+        value, y = vals[np.arange(m), i], ys[i, None]
+    elif getattr(h, "symmetric", True):
         # nearest boundary point is optimal for radial L
-        y = x / r if r > 0 else np.eye(N)[0]
+        e = np.eye(N)[0]
+        y = xs / np.where(r > 0, r, 1.0)[:, None]
+        y[r == 0] = e
         d = 1.0 - r
-        val = t * L(d / t * np.eye(N)[0]) if d > 0 else 0.0
-        return RateResult(float(val), y, regime)
+        value = np.zeros(m)
+        inside = d > 0
+        if inside.any():
+            value[inside] = t * L(d[inside, None] / t * e)
+    else:
+        value, y = _asymmetric_rate(L, xs, t)
+    if one:
+        return RateResult(float(value[0]), y[0], _regime_of(L))
+    return RateResult(value, y, _regime_of(L))
 
-    # asymmetric N-D: coarse sweep over boundary angles + golden refinement
-    best = (math.inf, None)
-    thetas = np.linspace(0, 2 * math.pi, _N_ANGLES, endpoint=False)
-    vals = []
-    for th in thetas:
-        y = np.array([math.cos(th), math.sin(th)])
-        vals.append(t * L((x - y) / t))
-    i = int(np.argmin(vals))
-    lo = thetas[i] - 2 * math.pi / _N_ANGLES
-    hi = thetas[i] + 2 * math.pi / _N_ANGLES
 
+def _asymmetric_rate(L, xs, t):
+    """min over the unit circle for an asymmetric L in 2-D: a coarse sweep
+    over the boundary angles, then golden-section refinement of every
+    point at once, one L call per step."""
     def f(th):
-        y = np.array([math.cos(th), math.sin(th)])
-        return t * L((x - y) / t)
+        return t * L((xs - np.stack([np.cos(th), np.sin(th)], axis=1)) / t)
 
+    thetas = np.linspace(0, 2 * math.pi, _N_ANGLES, endpoint=False)
+    ring = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    vals = t * L(((xs[:, None] - ring) / t).reshape(-1, 2))
+    th0 = thetas[np.argmin(vals.reshape(len(xs), _N_ANGLES), axis=1)]
     gr = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
+    a, b = th0 - 2 * math.pi / _N_ANGLES, th0 + 2 * math.pi / _N_ANGLES
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-        if b - a < 1e-12:
+        # the minimum lies in [a, d] where f(c) < f(d), else in [c, b]
+        left = fc < fd
+        a, b, c, d = (np.where(left, a, c), np.where(left, d, b),
+                      np.where(left, d - gr * (d - a), d),
+                      np.where(left, c, c + gr * (b - c)))
+        fn = f(np.where(left, c, d))
+        fc, fd = np.where(left, fn, fd), np.where(left, fc, fn)
+        if np.all(b - a < 1e-12):
             break
     th = 0.5 * (a + b)
-    y = np.array([math.cos(th), math.sin(th)])
-    return RateResult(float(f(th)), y, regime)
+    return f(th), np.stack([np.cos(th), np.sin(th)], axis=1)
 
 
 def lax_oleinik(L: Lagrangian, A, x, t) -> RateResult:
-    """I^A(x,t) = min(A, I_inf(x,t))."""
-    if A < 0:
+    """I^A(x,t) = min(A, I_inf(x,t)), at one point or an array of them."""
+    if not A >= 0:
         raise ValidationError("A must be nonnegative")
     res = rate_iinf(L, x, t)
-    return RateResult(min(float(A), res.value),
+    value = np.minimum(float(A), res.value)
+    return RateResult(value if np.ndim(value) else float(value),
                       res.minimizing_boundary_point, res.regime,
                       res.predicted_log_bound)
 

@@ -291,3 +291,21 @@ def test_fenchel_young(key, u, theta, probes):
     p_star = np.atleast_1d(L.slope(q))
     assert abs(float(p_star @ q) - h.value(p_star) - value) <= 1e-8 * scale
     assert abs(float(p0 @ q) - h.value(p0) - value) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("key", sorted(_ALL_H),
+                         ids=lambda k: f"{k[0]}-{k[1]}d")
+def test_batched_l_matches_single_solves(key):
+    # one batched solve against one solve per q, on q = DH(p) across the
+    # p range, beyond it and reflected
+    h = _ALL_H[key]
+    qs = np.array([np.atleast_1d(h.grad(_point(key, u, 3.0 * u)))
+                   for u in np.linspace(0.0, 1.0, 6)])
+    qs = np.concatenate([qs, 1.5 * qs[-1:], -qs[1:3]])
+    L = Lagrangian(h)
+    batch = L.result(qs)
+    singles = [L.result(q) for q in qs]
+    np.testing.assert_array_equal(
+        batch.hit_domain_boundary, [s.hit_domain_boundary for s in singles])
+    np.testing.assert_allclose(batch.value, [s.value for s in singles],
+                               rtol=1e-12, atol=0.0)

@@ -133,3 +133,41 @@ def test_emit_plot_script_guards(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ValidationError):
         emit_plot_script(str(bad), "sweep")
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjugate", "--q", "nan"], ["conjugate", "--q", "inf"],
+    ["conjugate", "--q", "1,-inf"],
+    ["rate", "--x", "nan", "--t", "1"], ["rate", "--x", "0.2", "--t", "nan"],
+    ["rate", "--x", "0.2", "--t", "1", "--A", "nan"],
+    ["hj", "--A", "2", "--grid", "9", "--tmax", "0.5", "--dt", "0"],
+    ["hj", "--A", "2", "--grid", "9", "--tmax", "0.5", "--dt", "nan"],
+    ["hj", "--A", "2", "--grid", "9", "--tmax", "nan"],
+    ["hj", "--A", "nan", "--grid", "9", "--tmax", "0.5"],
+    ["simulate", "--R", "3", "--grid", "4", "--tmax", "nan"],
+    ["simulate", "--R", "nan", "--grid", "4", "--tmax", "0.5"],
+    ["simulate", "--R", "inf", "--grid", "4", "--tmax", "0.5"],
+    ["sweep", "--R", "nan,8,9"]], ids=" ".join)
+def test_non_finite_arguments_exit_2(argv, compact_spec, tmp_path, capsys):
+    # caught by validation before any numerics run: no march starts, so
+    # --dt 0 cannot loop forever
+    argv = argv[:1] + ["--kernel", compact_spec,
+                       "--out", str(tmp_path / "out.csv")] + argv[1:]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_rate_range_in_one_call_matches_single_calls(compact_spec, tmp_path,
+                                                     capsys):
+    out = str(tmp_path / "rate.csv")
+    assert main(["rate", "--kernel", compact_spec, "--x=-0.5:0.5:0.25",
+                 "--t", "0.5,1", "--A", "1.5", "--out", out]) == 0
+    rows = [l.split(",") for l in Path(out).read_text().splitlines()[1:]]
+    assert len(rows) == 10
+    for x, t, value in rows:
+        assert main(["rate", "--kernel", compact_spec, f"--x={x}",
+                     "--t", t]) == 0
+        single = float(capsys.readouterr().out)
+        assert float(value) == pytest.approx(min(1.5, single), rel=1e-11)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldp import (BelowRange, DomainViolation, Hamiltonian, Lagrangian,
-                 TabulatedLagrangian, UnsupportedKernel, ValidationError,
-                 build_kernel, conjugate, k_inverse, k_transform)
+from ldp import (BelowRange, Hamiltonian, Lagrangian, UnsupportedKernel,
+                 ValidationError, build_kernel, conjugate, k_inverse,
+                 k_transform, lax_oleinik, rate_iinf)
 from ldp import hamiltonian
 
 
@@ -68,21 +68,6 @@ def test_fenchel_young_equality_at_argmax(compact_h):
         assert abs(gap) <= 1e-8 * max(1.0, abs(p0 * q))
 
 
-def test_tabulated_matches_exact(compact_h):
-    L = Lagrangian(compact_h)
-    Lt = TabulatedLagrangian(compact_h, q_max=50.0)
-    for q in [-40.0, -3.0, 0.3, 7.0, 45.0]:
-        assert Lt(q) == pytest.approx(L(q), rel=1e-4, abs=1e-6)
-
-
-def test_tabulated_raises_beyond_its_range(compact_h):
-    Lt = TabulatedLagrangian(compact_h, q_max=8.5)
-    assert Lt(8.5) == pytest.approx(Lagrangian(compact_h)(8.5), rel=1e-4)
-    for q in (9.5, -9.5, 50.0):
-        with pytest.raises(DomainViolation):
-            Lt(q)
-
-
 def test_k_transform_compact(compact_kernel):
     res = k_transform(compact_kernel, 3.0)
     assert res.value == pytest.approx(3.0)   # rho * |p| with rho = 1
@@ -123,13 +108,6 @@ def test_k_inverse_roundtrip(gaussian_tail_kernel):
         assert back == pytest.approx(z, rel=1e-6)
 
 
-def test_tabulated_rejects_2d():
-    k2 = build_kernel("compact_uniform", 2, {"rho": 1.0})
-    h2 = Hamiltonian.from_kernel(k2)
-    with pytest.raises(ValidationError):
-        TabulatedLagrangian(h2, q_max=10.0)
-
-
 def test_asymmetric_2d_conjugate_matches_closed_form(anisotropic_drifted_h):
     # a drift and an anisotropic A make H asymmetric: the N-D Newton solve
     h, A, B = anisotropic_drifted_h
@@ -164,3 +142,88 @@ def test_l_solve_takes_each_moment_once_per_point(monkeypatch, dim, q):
     assert len(values) == 1
     assert values[0] == pytest.approx(float(np.linalg.norm(res.argmax)),
                                       rel=1e-15)
+
+
+def test_tempered_batch_hits_the_edge_element_by_element():
+    # alpha = 0.5: H' stays finite up to the inner edge of dom H = (-1, 1),
+    # so q beyond it puts the supremum on the edge
+    h = Hamiltonian.from_kernel(build_kernel("tempered_stable", 1,
+                                             {"alpha": 0.5, "lam": 1.0}))
+    edge = 1.0 - 1e-6
+    q_edge = float(h.batch([edge], (1,))[0, 0])
+    qs = np.array([0.3, 2.0 * q_edge, -5.0, -3.0 * q_edge, 0.5 * q_edge,
+                   10.0 * q_edge])
+    L = Lagrangian(h)
+    batch = L.result(qs)
+    np.testing.assert_array_equal(batch.hit_domain_boundary,
+                                  [False, True, False, True, False, True])
+    for i, q in enumerate(qs):
+        one = L.result(q)
+        assert one.hit_domain_boundary == batch.hit_domain_boundary[i]
+        assert batch.value[i] == pytest.approx(one.value, rel=1e-12, abs=0)
+        assert batch.argmax[i, 0] == pytest.approx(one.argmax[0], rel=1e-12)
+    assert np.all(np.abs(batch.argmax[batch.hit_domain_boundary]) == edge)
+
+
+def test_batch_backs_off_where_h_overflows():
+    # H'(p) ~ e^{p^2/4}: doubling from 0 overflows H at p = 63 for these
+    # q, and each such step is halved back on its own
+    h = Hamiltonian.from_kernel(build_kernel("exp_power", 1, {"alpha": 2.0}))
+    qs = np.array([1.0, 1e250, -1e200, 5.0])
+    L = Lagrangian(h)
+    batch = L.result(qs)
+    assert not batch.hit_domain_boundary.any()
+    for i, q in enumerate(qs):
+        one = L.result(q)
+        assert batch.value[i] == pytest.approx(one.value, rel=1e-12, abs=0)
+        assert batch.residual[i] <= 1e-12 * abs(q) + 1e-10
+    assert batch.argmax[1, 0] > 45.0
+
+
+@pytest.mark.parametrize("family,dim,params", [
+    ("compact_uniform", 1, {"rho": 1.0}), ("exp_linear", 1, {"alpha": 1.0}),
+    ("exp_power", 2, {"alpha": 2.0})])
+def test_lagrangian_has_no_history(family, dim, params):
+    h = Hamiltonian.from_kernel(build_kernel(family, dim, params))
+    q = 0.7 if dim == 1 else np.array([0.6, -0.35])
+    cold = Lagrangian(h).result(q)
+    L = Lagrangian(h)
+    for other in (5.0, -0.2, 30.0, 0.69):
+        L(other if dim == 1 else np.array([other, 0.1]))
+    warm = L.result(q)
+    assert warm.value == cold.value
+    assert warm.iterations == cold.iterations
+    np.testing.assert_array_equal(warm.argmax, cold.argmax)
+
+
+def test_call_forms_keep_their_types(compact_h):
+    one = conjugate(compact_h, 2.0)
+    assert isinstance(one.value, float) and isinstance(one.iterations, int)
+    assert isinstance(one.hit_domain_boundary, bool)
+    assert one.argmax.shape == (1,)
+    many = conjugate(compact_h, [1.0, 2.0, 3.0])
+    assert many.value.shape == many.iterations.shape == (3,)
+    assert many.argmax.shape == (3, 1)
+    assert many.value[1] == pytest.approx(one.value, rel=1e-12)
+    h2 = Hamiltonian.from_kernel(build_kernel("compact_uniform", 2,
+                                              {"rho": 1.0}))
+    assert isinstance(conjugate(h2, [1.0, 0.5]).value, float)
+    assert conjugate(h2, [[1.0, 0.5]]).value.shape == (1,)
+    with pytest.raises(ValidationError):
+        conjugate(h2, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_a_validation_error(compact_h, bad):
+    L = Lagrangian(compact_h)
+    h2 = Hamiltonian.from_kernel(build_kernel("compact_uniform", 2,
+                                              {"rho": 1.0}))
+    for call in (lambda: conjugate(compact_h, bad),
+                 lambda: conjugate(h2, [bad, 0.0]),
+                 lambda: L([0.5, bad]),
+                 lambda: rate_iinf(L, bad, 0.5),
+                 lambda: rate_iinf(L, 0.2, bad),
+                 lambda: lax_oleinik(L, 1.0, [[0.1], [bad]], 0.5),
+                 lambda: lax_oleinik(L, 1.0, 0.1, bad)):
+        with pytest.raises(ValidationError):
+            call()

@@ -144,3 +144,12 @@ def test_lax_oleinik_field_matches_pointwise():
     for i in [1, 10, 25, 40, 48]:
         ref = lax_oleinik(L, grid.A, grid.x[i], 0.5).value
         assert f.values[i] == pytest.approx(ref, abs=1e-9)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(T=math.nan), dict(T=math.inf), dict(A=math.nan), dict(A=math.inf),
+    dict(dt=0.0), dict(dt=-0.1), dict(dt=math.nan), dict(dt=math.inf),
+    dict(snapshots=[0.5, math.nan]), dict(snapshots=[])])
+def test_grid_rejects_non_finite_and_empty_values(kwargs):
+    with pytest.raises(ValidationError):
+        HJGrid(**{**dict(n=9, T=1.0, A=1.0), **kwargs})

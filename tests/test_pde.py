@@ -12,6 +12,7 @@ from ldp import (Field, FieldHistory, InsufficientData, Saturated, SimConfig,
                  SweepRecord, TruncationTooSmall, ValidationError,
                  build_kernel, empirical_rate, fit_rate, run_sweep, simulate,
                  sup_difference, tail_reach)
+import ldp.pde as pde
 from ldp.pde import _stencil
 
 
@@ -157,7 +158,7 @@ def test_snapshots_match_single_runs(compact_kernel, bc_mode):
 def test_stencil_weights_match_pointwise_density(family, params):
     kernel = build_kernel(family, 1, params)
     h = 1.0 / 16
-    ks, w = _stencil(kernel, h)
+    ks, w = _stencil(kernel, h, tail_reach(kernel))
     far = np.abs(ks * h) >= math.sqrt(h)    # beyond any split radius
     ref = [h * float(kernel.density(k * h)) for k in ks[far]]
     np.testing.assert_allclose(w[far], ref, rtol=1e-15, atol=0.0)
@@ -171,7 +172,7 @@ def test_stencil_small_ball_moment_closed_form(alpha, lam):
     kernel = build_kernel("tempered_stable", 1, {"alpha": alpha, "lam": lam})
     h = 1.0 / 16
     delta = math.sqrt(h)
-    ks, w = _stencil(kernel, h)
+    ks, w = _stencil(kernel, h, tail_reach(kernel))
     centre = int(np.flatnonzero(ks == 0)[0])
     assert w[centre - 1] == w[centre + 1]
     m2 = 2 * h * h * w[centre + 1]
@@ -331,3 +332,28 @@ def test_run_sweep_requires_unit_mass():
     heavy = build_kernel("compact_uniform", 1, {"rho": 1.0, "mass": 2.0})
     with pytest.raises(ValidationError):
         run_sweep(heavy, [3.0, 4.0, 5.0])
+
+
+def test_simulate_takes_the_reach_once(compact_kernel, monkeypatch):
+    # the config computes the reach and the stencil reuses it
+    calls = []
+
+    def spy(kernel, *args, **kwargs):
+        calls.append(kernel)
+        return tail_reach(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(pde, "tail_reach", spy)
+    simulate(SimConfig(kernel=compact_kernel, R=3.0, T=0.5))
+    assert calls == [compact_kernel]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("R", math.nan), ("R", math.inf), ("T", math.nan), ("T", math.inf),
+    ("A_diff", math.nan), ("A_diff", math.inf), ("B_drift", math.nan),
+    ("B_drift", -math.inf), ("snapshots", [0.25, math.nan]),
+    ("snapshots", [math.inf])])
+def test_config_rejects_non_finite_values(compact_kernel, field, value):
+    kwargs = dict(kernel=compact_kernel, R=3.0, T=0.5)
+    kwargs[field] = value
+    with pytest.raises(ValidationError):
+        SimConfig(**kwargs)
