@@ -20,13 +20,12 @@ import sys
 
 from .conjugate import Lagrangian, k_inverse
 from .errors import LdpError, ValidationError
+from .fields import _FMT
 from .hamiltonian import Hamiltonian
 from .hj import HJGrid, solve_hj, solve_hj_constrained
 from .kernels import load_kernel
 from .pde import (SimConfig, SweepRecord, fit_rate, run_sweep, simulate)
 from .rate import lax_oleinik, rate_iinf
-
-_FMT = "{:.12g}"
 
 
 def _fmt(v):

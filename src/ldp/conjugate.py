@@ -16,7 +16,12 @@ ray of q; an asymmetric one by a damped Newton iteration per point.
 K(p) = sup_y { p.y - |y| omega(y) } with omega(y) = -ln J(y) / |y|.  For
 compact kernels the log-weight is flat on the support at the scale that
 matters, so K(p) = rho |p| exactly; for critical kernels K degenerates and
-only the graph-sense inverse (the constant beta0) is exposed.
+only the graph-sense inverse (the constant beta0) is exposed.  For
+intermediate kernels K(r) <= z exactly when r y + ln J(y) <= z for every
+y > 0, so the graph-sense inverse sup{r >= 0 : K(r) <= z} is
+inf_{y>0} (z - ln J(y)) / y: K and its inverse are each one bounded Brent
+minimisation along the ray (Brent, Algorithms for Minimization without
+Derivatives, 1973).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import (BelowRange, NonConvergence, UnsupportedKernel,
                      ValidationError)
-from .hamiltonian import Hamiltonian
+from .hamiltonian import _DOMAIN_MARGIN, Hamiltonian
 from .kernels import CompactTail, CriticalTail
 
 _MAX_ITER = 200
@@ -46,10 +51,11 @@ class ConjugateResult:
     hit_domain_boundary: bool
 
 
-def _inner_bounds(domain, margin=1e-6):
+def _inner_bounds(domain):
     lo, hi = domain
-    plo = lo + margin * max(1.0, abs(lo)) if math.isfinite(lo) else -math.inf
-    phi = hi - margin * max(1.0, abs(hi)) if math.isfinite(hi) else math.inf
+    m = _DOMAIN_MARGIN
+    plo = lo + m * max(1.0, abs(lo)) if math.isfinite(lo) else -math.inf
+    phi = hi - m * max(1.0, abs(hi)) if math.isfinite(hi) else math.inf
     return plo, phi
 
 
@@ -297,6 +303,22 @@ class Lagrangian:
 # K-transform
 # ---------------------------------------------------------------------------
 
+def _ray_min(f):
+    """Bounded Brent minimisation of f over r > 0 along a ray, for an f
+    that falls and then rises: the bracket (0, 2 hi) doubles hi from 1
+    until f rises from hi to 2 hi.  f is never evaluated at r = 0."""
+    hi, f_hi = 1.0, f(1.0)
+    for _ in range(200):
+        f_2hi = f(2 * hi)
+        if f_2hi > f_hi:
+            break
+        hi, f_hi = 2 * hi, f_2hi
+    else:
+        raise NonConvergence("no bracket for the minimum along the ray")
+    return minimize_scalar(f, bounds=(0.0, 2 * hi), method="bounded",
+                           options={"xatol": 1e-13})
+
+
 def k_transform(kernel, p) -> ConjugateResult:
     """K(p) = sup_y { p.y - |y| omega(y) }, omega = -ln J / |y|."""
     if not kernel.symmetric:
@@ -322,15 +344,7 @@ def k_transform(kernel, p) -> ConjugateResult:
     def neg_phi(r):
         return -(pr * r + float(logj(r)))
 
-    hi = 1.0
-    for _ in range(200):
-        if neg_phi(hi * 2) > neg_phi(hi):
-            break
-        hi *= 2
-    else:
-        raise NonConvergence("K-transform bracket search failed")
-    res = minimize_scalar(neg_phi, bounds=(0.0, 2 * hi), method="bounded",
-                          options={"xatol": 1e-13})
+    res = _ray_min(neg_phi)
     val = max(0.0, -res.fun)  # phi(0+) -> ln J(0) <= 0 handled by K >= 0
     r0 = float(res.x) if -res.fun >= 0 else 0.0
     # report residual as the geometric optimality gap
@@ -343,9 +357,12 @@ def k_transform(kernel, p) -> ConjugateResult:
         hit_domain_boundary=False)
 
 
-def k_inverse(kernel, z, tol=1e-12):
-    """Inverse of r -> K(r) on r >= 0 (graph sense for the degenerate
-    compact/critical cases)."""
+def k_inverse(kernel, z):
+    """Graph-sense inverse sup{r >= 0 : K(r) <= z} of the K-transform:
+    z / rho for compact kernels, beta0 for critical ones, and for
+    intermediate ones inf_{y>0} (z - ln J(y)) / y, which is 0 where
+    z <= ln J(0+).  z < 0 raises BelowRange, an asymmetric kernel
+    UnsupportedKernel."""
     if z < 0:
         raise BelowRange("k_inverse requires z >= 0")
     if not kernel.symmetric:
@@ -355,26 +372,7 @@ def k_inverse(kernel, z, tol=1e-12):
         return z / tail.rho
     if isinstance(tail, CriticalTail):
         return tail.beta0
-    if z == 0.0:
+    logj = kernel.log_j
+    if z <= float(logj(0.0)):
         return 0.0
-    e1 = np.eye(kernel.dimension)[0]
-
-    def K(r):
-        return k_transform(kernel, r * e1).value
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if K(hi) >= z:
-            break
-        lo, hi = hi, hi * 2
-    else:
-        raise NonConvergence("k_inverse: failed to bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if K(mid) < z:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return float(_ray_min(lambda y: (z - float(logj(y))) / y).fun)

@@ -1,9 +1,8 @@
-"""Spatial fields sampled at snapshot times, with CSV round-tripping."""
+"""Spatial fields sampled at snapshot times, written out as CSV."""
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from typing import List
 
@@ -68,29 +67,3 @@ class FieldHistory:
         finally:
             if close:
                 fh.close()
-
-    @classmethod
-    def from_csv(cls, path):
-        rows = []
-        meta = {}
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if "=" in body:
-                        k, v = body.split("=", 1)
-                        meta[k.strip()] = v.strip()
-                    continue
-                rows.append(line)
-        reader = csv.reader(io.StringIO("".join(rows)))
-        header = next(reader)
-        if header != ["x", "t", "value"]:
-            raise ValidationError("unexpected CSV header")
-        data = [(float(a), float(b), float(c)) for a, b, c in reader]
-        hist = cls(meta=meta)
-        for t in sorted({r[1] for r in data}):
-            sel = sorted((r[0], r[2]) for r in data if r[1] == t)
-            hist.fields.append(Field(
-                x=np.array([s[0] for s in sel]), t=t,
-                values=np.array([s[1] for s in sel])))
-        return hist

@@ -14,7 +14,8 @@ most a factor 2 and ln(e^{py} J) spreads little over each for the
 batch's extreme p; geometric out to one tail cut sized for the
 largest |p|.  Singular kernels take y = u^2 near the origin.  Integrands
 are formed as exp(p y + ln J(y)), so huge exponential factors against
-tiny densities never overflow, and p is processed in chunks.  For a
+tiny densities never overflow, and p is processed in chunks.  A
+symmetric kernel takes a batch of p <= 0 at -p, on the rule of -p.  For a
 radial kernel in 2-D the same panels cover the radii r > 0 and the
 angular integral gives Bessel factors (I_0 - 1 for H, I_1 for |DH|,
 I_0 + I_2 for the curvature along p), formed as the scaled I_n(|p| r)
@@ -49,7 +50,8 @@ class HamiltonianParams:
     A: np.ndarray = None          # (N, N) symmetric PSD; default zero
     B: np.ndarray = None          # (N,); default zero
     compensated: bool = True
-    delta_split: Optional[float] = None   # near-origin split radius
+    # near-origin split radius, set from the kernel
+    delta_split: float = field(init=False)
     # H(p) depends on |p| alone: a symmetric kernel (or none), A = a I
     # and B = 0; set from the fields above
     symmetric: bool = field(init=False, repr=False, compare=False)
@@ -78,15 +80,12 @@ class HamiltonianParams:
             if k.singularity_exponent >= 1.0:
                 raise ValidationError(
                     "uncompensated form needs singularity exponent < 1")
-        if self.delta_split is None:
-            if k is None:
-                self.delta_split = 0.5
-            elif k.singularity_exponent > 0:
-                self.delta_split = 1e-3
-            else:
-                self.delta_split = min(k.rho0 / 2, 0.5)
-        if not (0 < self.delta_split < 1):
-            raise ValidationError("delta_split must lie in (0, 1)")
+        if k is None:
+            self.delta_split = 0.5
+        elif k.singularity_exponent > 0:
+            self.delta_split = 1e-3
+        else:
+            self.delta_split = min(k.rho0 / 2, 0.5)
         self.symmetric = ((k is None or k.symmetric)
                           and np.allclose(self.B, 0.0)
                           and np.allclose(self.A, self.A[0, 0] * np.eye(N)))
@@ -209,6 +208,11 @@ def _jump_moments(params, ps, moments, essential):
     sides = _rays(k)[1]
     radial = k.dimension == 2
     lo, hi = k.p_domain
+    # a symmetric kernel makes H and H'' even in p and H' odd: a batch of
+    # p <= 0 runs at -p, on the rule of the mirror image of its range
+    flip = k.symmetric and not radial and ps.max() <= 0.0 < -ps.min()
+    if flip:
+        ps = -ps
     key = (essential, -_rung(-min(ps.min(), 0.0), -lo),
            _rung(max(ps.max(), 0.0), hi))
     if key not in params._rules:
@@ -273,6 +277,8 @@ def _jump_moments(params, ps, moments, essential):
             else:
                 coef = ps if m == 1 and full else 1.0
             out[j] += coef * side ** n * je * eps ** (n + 1) / (n - s)
+    if flip:
+        out[[j for j, m in enumerate(moments) if m == 1]] *= -1.0
     return out
 
 

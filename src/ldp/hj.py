@@ -63,12 +63,11 @@ import numpy as np
 
 from .errors import CFLViolation, DomainViolation, ValidationError
 from .fields import Field, FieldHistory, _snapshot_times
-from .hamiltonian import HTable, Hamiltonian, first_reach
+from .hamiltonian import _DOMAIN_MARGIN, HTable, Hamiltonian, first_reach
 from .rate import lax_oleinik
 
 _CFL = 0.9             # dt * max|H'| / h, per Euler stage
 _TABLE_SIZE = 2001
-_EDGE_MARGIN = 1e-6
 
 
 @dataclass
@@ -233,7 +232,7 @@ def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
     value_target = 2000.0 * grid.A / t_first
     caps = {}
     for side, bound in ((+1.0, hi), (-1.0, -lo)):
-        bound *= 1 - _EDGE_MARGIN
+        bound *= 1 - _DOMAIN_MARGIN
         core = first_reach(h, side, bound, (1,),
                            lambda G: np.abs(G) >= speed_target)
         full = first_reach(h, side, bound, (0, 1), lambda H, G: (
@@ -252,7 +251,7 @@ def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
     """Gradient-constrained evolution for critical Hamiltonians."""
     if beta0 <= 0:
         raise ValidationError("beta0 must be positive")
-    edge = beta0 * (1 - _EDGE_MARGIN)
+    edge = beta0 * (1 - _DOMAIN_MARGIN)
     t_first = grid.snapshots[0]
     # Clamp slopes well inside dom H.  The working cap keeps H(p_cap)
     # small enough that the untouched beta0-ramp loses only O(t_first)
@@ -262,7 +261,7 @@ def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
     pmax = first_reach(h, +1.0, edge, (0,), lambda H: np.abs(H) >= value_cap)
     pmin = -pmax
     if math.isfinite(h.domain[0]):
-        pmin = max(pmin, h.domain[0] * (1 - _EDGE_MARGIN))
+        pmin = max(pmin, h.domain[0] * (1 - _DOMAIN_MARGIN))
     tab = HTable(h, np.linspace(pmin, pmax, _TABLE_SIZE))
     fields, stats = _march(tab, grid, sweep_beta=beta0)
     return FieldHistory(fields=fields, meta={

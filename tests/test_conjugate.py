@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from ldp import (BelowRange, Hamiltonian, Lagrangian, UnsupportedKernel,
                  ValidationError, build_kernel, conjugate, k_inverse,
-                 k_transform, lax_oleinik, rate_iinf)
+                 k_transform, lax_oleinik, rate_iinf, scaled_kernel)
 from ldp import hamiltonian
 
 
@@ -88,12 +90,60 @@ def test_k_transform_rejects_critical_and_asymmetric(critical_kernel,
         k_transform(demo_kernel, 1.0)
 
 
+# intermediate kernels (family, alpha) and K^{-1}(w) of the unscaled kernel
+# in closed form: K(r) = (alpha - 1) (r / alpha)^{alpha / (alpha - 1)} for
+# exp_power, K(r) = r ln r - r for super_exp (ln J(0) = -1)
+_INTERMEDIATE = [("exp_power", 1.5), ("exp_power", 2.0), ("exp_power", 3.0),
+                 ("super_exp", None)]
+
+
+def _intermediate_kernel(family, alpha, dim, c=1.0):
+    k = build_kernel(family, dim, {} if alpha is None else {"alpha": alpha})
+    return k if c == 1.0 else scaled_kernel(k, c)
+
+
+def _k_inverse_exact(family, alpha, w):
+    if family == "super_exp":
+        return brentq(lambda r: r * math.log(r) - r - w, 1.0, 1e6,
+                      xtol=1e-300, rtol=1e-15) if w > -1 else 0.0
+    return alpha * (w / (alpha - 1)) ** ((alpha - 1) / alpha) if w > 0 else 0.0
+
+
 def test_k_inverse_families(compact_kernel, critical_kernel,
                             gaussian_tail_kernel):
     assert k_inverse(compact_kernel, 7.0) == 7.0
     assert k_inverse(critical_kernel, 7.0) == 1.0
     assert k_inverse(gaussian_tail_kernel, 4.0) == pytest.approx(4.0,
                                                                  abs=1e-6)
+    # a density scaled by c shifts K by ln c: K^{-1}(z) is the unscaled
+    # inverse at z - ln c, and 0 where z <= ln J(0+) (z <= ln 5 for
+    # exp_power scaled by 5; super_exp has K^{-1}(0) = e)
+    for family, alpha in _INTERMEDIATE:
+        for dim in (1, 2):
+            for c in (1.0, 0.3, 5.0):
+                k = _intermediate_kernel(family, alpha, dim, c)
+                for z in (0.0, 0.5, 1.0, 1.6, 4.0, 10.0, 100.0):
+                    exact = _k_inverse_exact(family, alpha, z - math.log(c))
+                    assert k_inverse(k, z) == pytest.approx(exact, rel=1e-12,
+                                                            abs=0.0)
+
+
+def test_k_inverse_cost():
+    # one minimisation along the ray: a bisection over K solves made
+    # hundreds of ln J calls per inverse
+    for family, alpha in (("exp_power", 1.5), ("super_exp", None)):
+        k = _intermediate_kernel(family, alpha, 1)
+        calls = []
+
+        def log_j(y, f=k.log_j):
+            calls.append(y)
+            return f(y)
+
+        counted = dataclasses.replace(k, log_j=log_j)
+        for z in (1.0, 10.0, 100.0):
+            calls.clear()
+            k_inverse(counted, z)
+            assert len(calls) <= 60, (family, z, len(calls))
 
 
 def test_k_inverse_below_range(compact_kernel):
@@ -106,6 +156,16 @@ def test_k_inverse_roundtrip(gaussian_tail_kernel):
         r = k_inverse(gaussian_tail_kernel, z)
         back = k_transform(gaussian_tail_kernel, r).value
         assert back == pytest.approx(z, rel=1e-6)
+    # K(K^{-1}(z)) = z on the range of K, z > max(0, ln J(0+))
+    for family, alpha in _INTERMEDIATE:
+        for dim in (1, 2):
+            for c in (1.0, 0.3, 5.0):
+                k = _intermediate_kernel(family, alpha, dim, c)
+                for z in (0.5, 2.0, 20.0, 100.0):
+                    if z > float(k.log_j(0.0)):
+                        r = k_inverse(k, z)
+                        back = k_transform(k, np.eye(dim)[0] * r).value
+                        assert back == pytest.approx(z, rel=1e-12)
 
 
 def test_asymmetric_2d_conjugate_matches_closed_form(anisotropic_drifted_h):

@@ -5,7 +5,7 @@ import pytest
 
 from ldp import (DomainViolation, Hamiltonian, HamiltonianParams,
                  ValidationError, eval_h_ess)
-from ldp.hamiltonian import eval_h, grad_h, hess_quadform
+from ldp.hamiltonian import eval_batch, eval_h, grad_h, hess_quadform
 
 
 def test_compact_uniform_closed_form(compact_h):
@@ -28,11 +28,19 @@ def test_asymmetric_demo_closed_form(demo_kernel):
         assert h.value(p) == pytest.approx(exact, rel=1e-10)
 
 
-def test_value_at_zero_and_symmetry(compact_h, critical_h):
-    assert abs(compact_h.value(0.0)) < 1e-12
-    assert abs(critical_h.value(0.0)) < 1e-12
-    assert compact_h.value(1.3) == pytest.approx(compact_h.value(-1.3),
-                                                 rel=1e-11)
+def test_value_at_zero_and_symmetry(compact_kernel, critical_kernel):
+    for k in (compact_kernel, critical_kernel):
+        params = Hamiltonian.from_kernel(k).params
+        assert abs(eval_h(params, 0.0)) < 1e-12
+        # p <= 0 runs at -p on the same rule: H, H'' and H^ess even and H'
+        # and the essential gradient odd to the last bit, no rule added
+        for ess, moments in ((False, (0, 1, 2)), (True, (0, 1))):
+            pos = eval_batch(params, [0.8, 0.3], moments, essential=ess)
+            rules = len(params._rules)
+            neg = eval_batch(params, [-0.8, -0.3], moments, essential=ess)
+            assert len(params._rules) == rules
+            odd = np.array([[-1.0 if m == 1 else 1.0] for m in moments])
+            assert np.array_equal(neg, odd * pos)
 
 
 def test_domain_violation_critical(critical_h):
