@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -238,7 +239,10 @@ def _cmd_sweep(args):
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argparse tree, built on the first call and kept for the
+    process: parse_args gives every call a fresh Namespace."""
     ap = argparse.ArgumentParser(
         prog="ldp",
         description="Levy Hamiltonians, conjugates, rate functions, HJ "
@@ -306,9 +310,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
         args.fn(args)
     except ValidationError as e:
         json.dump({"error": type(e).__name__, "message": str(e)},

@@ -361,8 +361,10 @@ def k_inverse(kernel, z):
     """Graph-sense inverse sup{r >= 0 : K(r) <= z} of the K-transform:
     z / rho for compact kernels, beta0 for critical ones, and for
     intermediate ones inf_{y>0} (z - ln J(y)) / y, which is 0 where
-    z <= ln J(0+).  z < 0 raises BelowRange, an asymmetric kernel
-    UnsupportedKernel."""
+    z <= ln J(0+).  A z that is not finite raises ValidationError, z < 0
+    BelowRange, an asymmetric kernel UnsupportedKernel."""
+    if not math.isfinite(z):
+        raise ValidationError(f"k_inverse requires a finite z, got {z}")
     if z < 0:
         raise BelowRange("k_inverse requires z >= 0")
     if not kernel.symmetric:

@@ -12,7 +12,11 @@ shares): split at delta, at |y| = 1, at rho0/2, at the support edges
 and at the kernel's jumps; halved until their end points differ by at
 most a factor 2 and ln(e^{py} J) spreads little over each for the
 batch's extreme p; geometric out to one tail cut sized for the
-largest |p|.  Singular kernels take y = u^2 near the origin.  Integrands
+largest |p|.  The extreme p are first rounded out to a ladder with one
+rung per octave (2^j, or edge (1 - 2^{-j}) below a finite domain edge),
+and each HamiltonianParams keeps the rules of the rung pairs it has met,
+so the scalar calls of one octave share one rule.  Singular kernels take
+y = u^2 near the origin.  Integrands
 are formed as exp(p y + ln J(y)), so huge exponential factors against
 tiny densities never overflow, and p is processed in chunks.  A
 symmetric kernel takes a batch of p <= 0 at -p, on the rule of -p.  For a
@@ -137,8 +141,8 @@ def _as_point(params, v, name="p"):
 # ---------------------------------------------------------------------------
 
 _RULES_KEPT = 32        # rules cached per HamiltonianParams, oldest dropped
-#                         (one L solve visits 5-8 rung pairs, one batched
-#                         solve over 801 q of both signs 13)
+#                         (one 1-D L solve visits 2-5 rung pairs, one
+#                         batched solve over 801 q of both signs 3-13)
 _CHUNK = 1 << 12        # float64 entries per temporary (32 KB)
 # 1/k! for k = 13 .. 2: Horner coefficients of e^x - 1 - x
 _EXPM1MX = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
@@ -148,12 +152,15 @@ _I0M1 = [1.0 / math.factorial(k) ** 2 for k in range(8, 0, -1)]
 
 
 def _rung(p, edge):
-    """p >= 0 rounded up to the ladder 2^{j/4}, or edge (1 - 2^{-j/4})
-    below a finite domain edge: batches whose p ranges round to the same
-    rungs share one quadrature rule, valid for every p inside them."""
+    """p >= 0 rounded up to the ladder 2^j, one rung per octave, or
+    edge (1 - 2^{-j}) below a finite domain edge: batches whose p ranges
+    round to the same rungs share one quadrature rule.  The log-integrand
+    p y + ln J(y) is linear in p, so its spread over a panel and the
+    panel's tail-cut test at any p inside the rungs are bounded by their
+    values at the rungs: the rule is valid for every p inside them."""
     if p > 0 and math.isfinite(edge):
-        return edge * (1 - 2 ** (-math.ceil(-4 * math.log2(1 - p / edge)) / 4))
-    return 2 ** (math.ceil(4 * math.log2(p)) / 4) if p > 0 else 0.0
+        return edge * (1 - 2.0 ** -math.ceil(-math.log2(1 - p / edge)))
+    return 2.0 ** math.ceil(math.log2(p)) if p > 0 else 0.0
 
 
 def _rule(params, p_lo, p_hi, essential):

@@ -348,7 +348,8 @@ def _side_rule(logj, knots, singular, p_ends, floor):
     for _ in range(64):
         v = a[:, None] + (b - a)[:, None] * _SAMPLES
         t = np.where(sq[:, None], v * v, v)
-        phi = np.stack([p * t + logj(t) for p in p_ends])
+        lj = logj(t)
+        phi = np.stack([p * t + lj for p in p_ends])
         top = phi.max(axis=-1)
         tiny = (top + np.log(t[:, -1] - t[:, 0])
                 + 2 * np.log(np.maximum(t[:, -1], 1.0)) < floor)
@@ -403,8 +404,12 @@ def _ray_rule(k, knots, singular, p_ends=(0.0,), log_below=math.inf):
 
     floor = _LOG_TINY + min(log_below, max(float(logj(k.rho0 / 2, side))
                                            for side in sides))
+    # a symmetric 1-D kernel on a p range closed under negation: the rule
+    # of the side y < 0 is the mirror image of the side y > 0
+    mirror = (k.symmetric and not radial
+              and sorted(p_ends) == sorted(-p for p in p_ends))
     ys, ws = [np.zeros(0)], [np.zeros(0)]
-    for side in sides:
+    for side in sides[:1] if mirror else sides:
         edge = min(side * k.support[side > 0], stop)
         if edge <= start:
             continue
@@ -414,6 +419,9 @@ def _ray_rule(k, knots, singular, p_ends=(0.0,), log_below=math.inf):
                           [side * p for p in p_ends], floor)
         ys.append(side * t)
         ws.append(w)
+    if mirror:
+        ys.append(-ys[-1])
+        ws.append(ws[-1])
     y, w = np.concatenate(ys), np.concatenate(ws)
     return y, 2 * math.pi * y * w if radial else w
 

@@ -70,6 +70,47 @@ def test_engine_matches_quad_oracle(name, u):
         assert _close(ess[m], ref), ("ess", m, p, ess[m], ref)
 
 
+def _octave_points(name):
+    """p where the rule ladder overshoots the most: just above each rung
+    2^{j-1} within the range, on the rule of 2^j; below a finite edge
+    just above edge (1 - 2^{1-j}), on the rule of edge (1 - 2^{-j}), and
+    at 1 - p / edge = 1e-5.  Both signs for an asymmetric kernel; a
+    symmetric one runs -p on the rule of p."""
+    lo, hi = _H[name].domain
+    cap = FAMILIES[name][2]
+    points = []
+    for side, edge in ((1.0, hi), (-1.0, -lo))[:1 + (not _H[name].symmetric)]:
+        if math.isfinite(edge):
+            for j in (2, 3, 5):
+                p = edge * (1 - 2.0 ** (1 - j)) * (1 + 1e-12)
+                assert ham._rung(p, edge) == pytest.approx(
+                    edge * (1 - 2.0 ** -j), rel=1e-15)
+                points.append(side * p)
+            points.append(side * edge * (1 - 1e-5))
+        else:
+            for j in (-1, 1, 3, 4):
+                p = math.nextafter(2.0 ** (j - 1), math.inf)
+                if p < cap:
+                    assert ham._rung(p, edge) == 2.0 ** j
+                    points.append(side * p)
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_engine_matches_quad_oracle_across_each_octave(name):
+    h = _H[name]
+    k, params = h.kernel, h.params
+    for p in _octave_points(name):
+        got = eval_batch(params, [p], (0, 1, 2))[:, 0]
+        for m in (0, 1, 2):
+            ref = Q.h_moment(k, p, m, params.compensated, params.delta_split)
+            assert _close(got[m], ref), (m, p, got[m], ref)
+        ess = eval_batch(params, [p], (0, 1), essential=True)[:, 0]
+        for m in (0, 1):
+            ref = Q.h_ess(k, p, m)
+            assert _close(ess[m], ref), ("ess", m, p, ess[m], ref)
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_batch_independent_of_chunks_and_order(name, monkeypatch):
     h = _H[name]

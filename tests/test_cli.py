@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ldp.cli as cli
 from ldp import fit_rate
 from ldp.cli import emit_plot_script, main, parse_values, records_from_csv
 from ldp.errors import ValidationError
@@ -19,6 +22,12 @@ def compact_spec(kernel_spec_path):
 def critical_spec(kernel_spec_path):
     return kernel_spec_path({"family": "exp_linear",
                              "params": {"alpha": 1.0}}, "critical.json")
+
+
+@pytest.fixture
+def exp_power_spec(kernel_spec_path):
+    return kernel_spec_path({"family": "exp_power",
+                             "params": {"alpha": 2.0}}, "exp_power.json")
 
 
 def test_parse_values_forms():
@@ -157,6 +166,59 @@ def test_non_finite_arguments_exit_2(argv, compact_spec, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("spec", ["compact_spec", "exp_power_spec"])
+@pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
+def test_kinv_non_finite_z_exit_2(spec, z, request, capsys):
+    path = request.getfixturevalue(spec)
+    assert main(["kinv", "--kernel", path, f"--z={z}"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+
+
+def _run_main(argv):
+    """Exit code, stdout and stderr of one in-process call; an argparse
+    usage error exits by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_a_sequence_of_calls(compact_spec, critical_spec,
+                                               kernel_spec_path, tmp_path):
+    demo = kernel_spec_path({"family": "asymmetric_1d_demo"}, "demo.json")
+    calls = [
+        ["hamiltonian", "--kernel", compact_spec, "--p", "1"],
+        ["conjugate", "--kernel", critical_spec, "--q", "0.5,1",
+         "--out", "{out}"],
+        ["kinv", "--kernel", compact_spec, "--z", "-1"],
+        ["hamiltonian", "--kernel", critical_spec, "--p", "3"],
+        ["kinv", "--kernel", demo, "--z", "1"],
+        ["rate", "--kernel", compact_spec, "--x", "0.2", "--t", "1"],
+        ["hamiltonian", "--kernel", compact_spec],
+        ["kinv", "--kernel", critical_spec, "--z", "7", "--out", "{out}"],
+        ["hamiltonian", "--kernel", compact_spec, "--p", "1"],
+    ]
+
+    def run(i, argv, tag):
+        out = tmp_path / f"{tag}{i}.csv"
+        got = _run_main([a.format(out=out) for a in argv])
+        return got + (out.read_text() if out.exists() else None,)
+
+    cli._parser.cache_clear()
+    together = [run(i, argv, "seq") for i, argv in enumerate(calls)]
+    assert cli._parser.cache_info().misses == 1
+    alone = []
+    for i, argv in enumerate(calls):
+        cli._parser.cache_clear()
+        alone.append(run(i, argv, "one"))
+    assert together == alone
+    assert [r[0] for r in together] == [0, 0, 2, 3, 3, 0, 2, 0, 0]
 
 
 def test_rate_range_in_one_call_matches_single_calls(compact_spec, tmp_path,

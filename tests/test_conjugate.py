@@ -151,6 +151,16 @@ def test_k_inverse_below_range(compact_kernel):
         k_inverse(compact_kernel, -1.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_k_inverse_non_finite_z(z, compact_kernel, critical_kernel,
+                                gaussian_tail_kernel):
+    for k in (compact_kernel, critical_kernel, gaussian_tail_kernel,
+              build_kernel("super_exp", 1)):
+        with pytest.raises(ValidationError) as info:
+            k_inverse(k, z)
+        assert info.type is ValidationError
+
+
 def test_k_inverse_roundtrip(gaussian_tail_kernel):
     for z in [0.5, 2.0, 20.0]:
         r = k_inverse(gaussian_tail_kernel, z)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ldp.hamiltonian as ham
 from ldp import (DomainViolation, Hamiltonian, HamiltonianParams,
                  ValidationError, eval_h_ess)
 from ldp.hamiltonian import eval_batch, eval_h, grad_h, hess_quadform
@@ -142,3 +143,27 @@ def test_non_finite_p_rejected(compact_h):
     for p in (math.nan, math.inf):
         with pytest.raises(ValidationError):
             compact_h.value(p)
+
+
+def test_one_rule_per_octave(compact_kernel, monkeypatch):
+    builds = []
+    rule = ham._rule
+
+    def spy(params, p_lo, p_hi, essential):
+        builds.append((p_lo, p_hi))
+        return rule(params, p_lo, p_hi, essential)
+
+    monkeypatch.setattr(ham, "_rule", spy)
+    params = Hamiltonian.from_kernel(compact_kernel).params
+    # 1.1, 1.5 and 1.9 lie in one octave: H, H' and H'' share its rule
+    for p in (1.1, 1.5, 1.9):
+        eval_h(params, p)
+        grad_h(params, p)
+        hess_quadform(params, p, 1.0)
+    assert builds == [(0.0, 2.0)]
+    # -p of a symmetric kernel runs on the rule of p
+    eval_h(params, -1.5)
+    assert len(builds) == 1
+    # 2.2 p is past the octave of p
+    eval_h(params, 2.2 * 1.5)
+    assert builds[1:] == [(0.0, 4.0)]

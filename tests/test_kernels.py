@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import exp1, gamma, gammainc, gammaincc
 
 import _quad_oracle as Q
+import ldp.kernels as kern
 from ldp import (ValidationError, build_kernel, kernel_from_dict,
                  load_kernel, scaled_kernel, tail_reach)
-from ldp.kernels import (CompactTail, CriticalTail, IntermediateTail,
-                         is_essentially_ordered, levy_integral)
+from ldp.kernels import (_FAR, CompactTail, CriticalTail, IntermediateTail,
+                         _ray_integrals, _ray_rule, is_essentially_ordered,
+                         levy_integral)
 
 
 def test_compact_uniform_density(compact_kernel):
@@ -181,3 +184,44 @@ def test_2d_compact_kernel():
     assert k.mass == pytest.approx(1.0)
     # int_{|y|<=1} |y|^2 / pi dy = 1/2
     assert levy_integral(k) == pytest.approx(0.5, rel=1e-8)
+
+
+# every 1-D family, symmetric but the demo
+_ONE_D = [("compact_uniform", {"rho": 1.0}),
+          ("compact_custom", {"rho": 1.5, "dip_a": 0.3, "dip_b": 0.8,
+                              "dip_factor": 0.25}),
+          ("exp_power", {"alpha": 1.5}), ("exp_linear", {"alpha": 2.0}),
+          ("super_exp", {}), ("tempered_stable", {"alpha": 0.5, "lam": 1.0}),
+          ("asymmetric_1d_demo", {})]
+
+
+@pytest.mark.parametrize("family,params", _ONE_D)
+def test_ray_integrals_build_one_side_of_a_symmetric_kernel(
+        family, params, monkeypatch):
+    k = build_kernel(family, 1, params)
+    builds = []
+    side_rule = kern._side_rule
+
+    def spy(*args):
+        builds.append(args)
+        return side_rule(*args)
+
+    monkeypatch.setattr(kern, "_side_rule", spy)
+    for n, knots in ((0, (0.0, 1.0, _FAR)), (2, (0.0, 1.0))):
+        builds.clear()
+        _ray_integrals(k, n, knots)
+        assert len(builds) == (1 if k.symmetric else 2)
+
+
+@pytest.mark.parametrize("family,params", _ONE_D[:-1])
+@pytest.mark.parametrize("p_ends", [(0.0,), (-2.0, 2.0), (-1.0, 0.0, 1.0)])
+def test_mirrored_rule_equals_both_sides_built(family, params, p_ends):
+    k = build_kernel(family, 1, params)
+    lo, hi = k.p_domain
+    p_ends = tuple(min(max(p, 0.9 * lo), 0.9 * hi) for p in p_ends)
+    singular = k.singularity_exponent > 0
+    mirrored = _ray_rule(k, (0.0, 0.5, _FAR), singular, p_ends)
+    both = _ray_rule(replace(k, symmetric=False), (0.0, 0.5, _FAR),
+                     singular, p_ends)
+    for a, b in zip(mirrored, both):
+        assert np.array_equal(a, b)
