@@ -17,6 +17,18 @@ rate of the stencil and P the convolution with w / rate,
     u(t) = sum_n Pois(n; rate t) P^n u(0),
 
 a sum of nonnegative terms, so tail values keep their relative accuracy.
+Each P^n u(0) lies in [0, M], M = max u(0), so a sum cut after n terms is
+short by at most M times the Poisson tail mass beyond them, bounded by Fox
+& Glynn (1988).  A snapshot's sum stops by one of two rules:
+
+    default   M * tail <= 1e-16 * 1e-300, the representable floor: every
+              value above that floor has a relative truncation error
+              below 1e-16, whatever the caller reads.
+    reads     M * tail <= 1e-16 * max(1e-300, min of the partial sum over
+              the nodes the caller reads): the partial sums only grow, so
+              every read value has a relative truncation error below
+              1e-16; the other nodes carry no stated accuracy.
+
 The nodes a boundary mode holds (|x| > R) never change, so P is applied
 only on the band of free nodes, |x| <= R (the whole grid in whole_line
 mode); held values are written once and never recomputed.
@@ -154,30 +166,42 @@ def _stencil(kernel: Kernel, h, reach, A_diff=0.0, B_drift=0.0):
 
 
 def _poisson_weights(mu, log_tol):
-    """Pois(n; mu) for n = 0, 1, ..., stopping at the first n past the mode
-    where the bound p_n (n + 1)/(n + 1 - mu) on the tail mass from n on
-    falls below e^log_tol (Fox & Glynn 1988).  Formed in log space, so
+    """Pois(n; mu) for n = 0, 1, ..., N - 1, and ln of a bound on the mass
+    beyond each n: p_{n+1} (n + 2)/(n + 2 - mu) once n + 2 > mu, 1 before
+    (Fox & Glynn 1988).  N is the first n past the mode where the bound on
+    the mass from n on falls below e^log_tol.  Formed in log space, so
     e^{-mu} may underflow without losing the weights near the mode."""
     log_mu = math.log(mu) if mu > 0 else -math.inf
-    weights, log_p, n = [], -mu, 0
-    while n + 1 <= mu or log_p + math.log((n + 1) / (n + 1 - mu)) >= log_tol:
+    weights, log_tails, log_p, n = [], [], -mu, 0
+    while True:
         weights.append(math.exp(log_p))
         n += 1
         log_p += log_mu - math.log(n)
-    return weights
+        tail = log_p + math.log((n + 1) / (n + 1 - mu)) if n + 1 > mu \
+            else 0.0
+        log_tails.append(tail)
+        if not tail >= log_tol:
+            return weights, log_tails
 
 
-def simulate(cfg: SimConfig) -> FieldHistory:
+def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
     """Uniformisation, exact in time; returns the requested snapshots.
 
     One pass over n applies P (the stencil convolution with weights
     w / rate) to the free band, reading the held nodes and the pads beyond
     the grid as constant sources, and adds Pois(n; rate t) P^n u(0) to the
     band of every snapshot t; held nodes keep their data throughout, and
-    meta["free_nodes"] counts the band.  Each sum stops when max(u0) times
-    its Poisson tail mass is below 1e-16 of the representable floor, so
-    every value above that floor carries a relative truncation error below
-    1e-16.
+    meta["free_nodes"] counts the band.
+
+    reads=None: each sum stops when max(u0) times its Poisson tail mass is
+    below 1e-16 of the representable floor, so every value above that
+    floor carries a relative truncation error below 1e-16.  reads, a
+    boolean mask over cfg.x: each sum stops once that product is at most
+    1e-16 times the smallest partial sum over the masked nodes (or the
+    floor, while one of them is still 0), so every masked value carries a
+    relative truncation error below 1e-16 and the other nodes none that is
+    stated.  meta["tail_bound"] is max(u0) times the tail bound at the
+    stop, the largest over the snapshots.
     """
     h = cfg.h
     x = cfg.x
@@ -206,21 +230,35 @@ def simulate(cfg: SimConfig) -> FieldHistory:
     window = buf[lo:hi + len(ks) - 1]  # the entries the band reads
     band = buf[kpad + lo:kpad + hi]    # view: P^n u(0) on the free nodes
     taps = w[::-1] / (rate or 1.0)  # rate 0: no jumps, P is never applied
-    log_tol = math.log(1e-16 * _SAT_FLOOR) - math.log(max(M, _SAT_FLOOR))
-    weights = [_poisson_weights(rate * t, log_tol) for t in cfg.snapshots]
+    log_M = math.log(max(M, _SAT_FLOOR))
+    log_tol = math.log(1e-16 * _SAT_FLOOR) - log_M
+    terms = [_poisson_weights(rate * t, log_tol) for t in cfg.snapshots]
     # held entries of every sum keep their data; only the band accumulates
-    sums = [np.where(held, u, 0.0) for _ in weights]
-    matvecs = max(map(len, weights)) - 1
-    for n in range(matvecs + 1):
+    sums = [np.where(held, u, 0.0) for _ in terms]
+    stops = [len(p) for p, _ in terms]  # terms each sum takes
+    if reads is not None:
+        reads = np.asarray(reads, dtype=bool)
+        if reads.shape != x.shape or not reads.any():
+            raise ValidationError("reads must mask at least one node of x")
+        idx = np.flatnonzero(reads)
+    n = 0
+    while n < max(stops):
         if n:
             band[:] = np.convolve(window, taps, mode="valid")
-        for s, p in zip(sums, weights):
-            if n < len(p):
+        for i, (s, (p, tails)) in enumerate(zip(sums, terms)):
+            if n < stops[i]:
                 s[lo:hi] += p[n] * band
+                if reads is not None and log_M + tails[n] <= math.log(
+                        1e-16 * max(_SAT_FLOOR, float(s[idx].min()))):
+                    stops[i] = n + 1
+        n += 1
+    matvecs = max(stops) - 1
+    tail = max(tails[k - 1] for (_, tails), k in zip(terms, stops))
     fields = [Field(x=x, t=t, values=s) for t, s in zip(cfg.snapshots, sums)]
     return FieldHistory(fields=fields, meta={
         "bc_mode": cfg.bc_mode, "R": cfg.R, "h": h, "rate": rate,
         "matvecs": matvecs, "dt": cfg.snapshots[-1] / max(matvecs, 1),
+        "tail_bound": math.exp(math.log(M) + tail) if M > 0 else 0.0,
         "free_nodes": hi - lo, "kernel": cfg.kernel.family})
 
 
@@ -273,6 +311,8 @@ class SweepRecord:
     empirical_exponent: float
     predicted_exponent: float
     ratio: float
+    # the barrier solve's matvecs; None for a record read back from a table
+    matvecs: Optional[int] = None
 
 
 @dataclass
@@ -309,28 +349,32 @@ def run_sweep(kernel: Kernel, Rs, theta=0.0, t_obs=1.0,
     With constant initial data and a mass-one kernel the whole-line
     solution stays identically 1, so u - u_R equals the barrier field v_R
     and one linear solve per R yields the difference at full precision.
+    Each solve reads only the window |x| <= theta R, so it stops by the
+    `reads` rule of `simulate`: sup_diff, the largest window value, keeps a
+    relative truncation error below 1e-16, and the record carries the
+    solve's matvecs.
     """
     if kernel.mass is None or abs(kernel.mass - 1.0) > 1e-9:
         raise ValidationError(
             "the barrier sweep identity requires a unit-mass kernel")
+    if not 0.0 <= theta <= 1.0:
+        raise ValidationError("theta must lie in [0, 1]")
 
     def one(R):
         cfg = SimConfig(kernel=kernel, R=R, T=t_obs, bc_mode="barrier",
                         n_per_unit=n_per_unit)
-        hist = simulate(cfg)
-        vR = hist.fields[-1]
-        sup = sup_difference(
-            Field(x=vR.x, t=vR.t, values=vR.values),
-            Field(x=vR.x, t=vR.t, values=np.zeros_like(vR.values)),
-            theta, R)
-        sup = max(sup, _SAT_FLOOR)
+        inside = np.abs(cfg.x) <= theta * R + 1e-12
+        hist = simulate(cfg, reads=inside)
+        # v_R >= 0, a sum of nonnegative terms, so u - u_R needs no check
+        sup = max(float(np.max(hist.fields[-1].values[inside])), _SAT_FLOOR)
         emp = -math.log(sup)
         pred = predict_log_bound(kernel, R, theta=theta, t=t_obs)
         return SweepRecord(R=float(R), theta=float(theta),
                            t_obs=float(t_obs), sup_diff=sup,
                            empirical_exponent=emp,
                            predicted_exponent=float(pred),
-                           ratio=emp / float(pred))
+                           ratio=emp / float(pred),
+                           matvecs=hist.meta["matvecs"])
 
     workers = int(os.environ.get("LDP_THREADS", "0")) or None
     with ThreadPoolExecutor(max_workers=workers) as ex:

@@ -10,8 +10,8 @@ from scipy.special import gamma, gammainc
 from _oracles import dense_nonlocal_solution
 from ldp import (Field, FieldHistory, InsufficientData, Saturated, SimConfig,
                  SweepRecord, TruncationTooSmall, ValidationError,
-                 build_kernel, empirical_rate, fit_rate, run_sweep, simulate,
-                 sup_difference, tail_reach)
+                 build_kernel, empirical_rate, fit_rate, run_sweep,
+                 scaled_kernel, simulate, sup_difference, tail_reach)
 import ldp.pde as pde
 from ldp.pde import _stencil
 
@@ -332,6 +332,107 @@ def test_run_sweep_requires_unit_mass():
     heavy = build_kernel("compact_uniform", 1, {"rho": 1.0, "mass": 2.0})
     with pytest.raises(ValidationError):
         run_sweep(heavy, [3.0, 4.0, 5.0])
+
+
+# family, params, Rs, theta, t_obs, n_per_unit: the benchmark's sweeps in
+# every tail regime on short ladders, and the asymmetric demo kernel
+_SWEEP_CASES = {
+    "compact": ("compact_uniform", {"rho": 1.0}, [8.0, 16.0], 0.0, 1.0, 16),
+    "compact_n64": ("compact_uniform", {"rho": 1.0}, [8.0, 16.0], 0.0, 1.0,
+                    64),
+    "exp_linear": ("exp_linear", {"alpha": 1.0}, [16.0, 24.0], 0.5, 4.0, 16),
+    "exp_power": ("exp_power", {"alpha": 2.0}, [8.0, 12.0], 0.2, 1.0, 16),
+    "demo": ("asymmetric_1d_demo", {}, [10.0, 15.0], 0.1, 1.0, 16),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+def test_sweep_cut_keeps_the_window_max_of_the_full_solve(case):
+    # each sweep solve stops at the accuracy of the window it reads; its
+    # sup_diff must still be the window max of the solve that runs to the
+    # representable floor, with fewer matvecs
+    family, params, Rs, theta, t_obs, npu = _SWEEP_CASES[case]
+    kernel = build_kernel(family, 1, params)
+    kernel = scaled_kernel(kernel, 1.0 / kernel.mass)  # the sweep needs 1
+    recs = run_sweep(kernel, Rs, theta=theta, t_obs=t_obs, n_per_unit=npu)
+    full_matvecs = []
+    for r in recs:
+        full = simulate(SimConfig(kernel=kernel, R=r.R, T=t_obs,
+                                  bc_mode="barrier", n_per_unit=npu))
+        f = full.fields[-1]
+        ref = float(np.max(f.values[np.abs(f.x) <= theta * r.R + 1e-12]))
+        assert abs(r.sup_diff - ref) <= 2 * np.spacing(ref)
+        assert r.matvecs < full.meta["matvecs"]
+        full_matvecs.append(full.meta["matvecs"])
+    if case == "compact":
+        assert recs[0].matvecs <= 30 and full_matvecs[0] == 173
+
+
+@pytest.mark.parametrize("bc_mode", ["dirichlet_zero_outside", "barrier"])
+def test_reads_keeps_every_masked_value(compact_kernel, bc_mode):
+    # a sum cut at 1e-16 of the smallest masked partial sum leaves every
+    # masked value within 1e-16 relative of the full sum, in every snapshot;
+    # max(u0) = 1000 makes the bound's factor max(u0) count
+    cfg = SimConfig(kernel=compact_kernel, R=6.0, T=1.0,
+                    u0=lambda x: 1e3 * math.exp(-0.1 * x * x), bc_mode=bc_mode,
+                    n_per_unit=8, snapshots=[0.25, 0.5, 1.0])
+    mask = np.abs(cfg.x) <= 3.0
+    full, cut = simulate(cfg), simulate(cfg, reads=mask)
+    assert cut.meta["matvecs"] < full.meta["matvecs"]
+    lows = []
+    for a, b in zip(full.fields, cut.fields):
+        ref = a.values[mask]
+        assert np.all(ref > 0)
+        assert np.max(np.abs(b.values[mask] - ref) / ref) <= 4e-16
+        lows.append(np.min(ref))
+    # each snapshot stops at 1e-16 of its own smallest masked value
+    assert cut.meta["tail_bound"] <= 1e-16 * max(lows)
+
+
+def test_default_stop_reaches_the_representable_floor(compact_kernel):
+    hist = simulate(SimConfig(kernel=compact_kernel, R=6.0, T=1.0,
+                              bc_mode="barrier", snapshots=[0.5, 1.0]))
+    assert 0 < hist.meta["tail_bound"] <= 1e-16 * pde._SAT_FLOOR
+
+
+def test_reads_must_mask_a_node_of_the_grid(compact_kernel):
+    cfg = SimConfig(kernel=compact_kernel, R=3.0, T=0.5)
+    for mask in (np.zeros(len(cfg.x), dtype=bool), np.ones(3, dtype=bool)):
+        with pytest.raises(ValidationError):
+            simulate(cfg, reads=mask)
+
+
+def _spy_on_simulate(monkeypatch):
+    calls = []
+
+    def spy(cfg, **kwargs):
+        calls.append((cfg.R, kwargs.get("reads")))
+        return simulate(cfg, **kwargs)
+
+    monkeypatch.setattr(pde, "simulate", spy)
+    return calls
+
+
+def test_run_sweep_solves_through_the_module_attribute(compact_kernel,
+                                                       monkeypatch):
+    # benchmark tracers count the sweep solves by patching ldp.pde.simulate
+    calls = _spy_on_simulate(monkeypatch)
+    recs = run_sweep(compact_kernel, [5.0, 3.0, 4.0], theta=0.5,
+                     n_per_unit=8)
+    assert sorted(R for R, _ in calls) == [3.0, 4.0, 5.0]
+    for R, reads in calls:
+        cfg = SimConfig(kernel=compact_kernel, R=R, T=1.0, n_per_unit=8)
+        np.testing.assert_array_equal(reads, np.abs(cfg.x) <= 0.5 * R)
+    assert all(r.matvecs > 0 for r in recs)
+
+
+@pytest.mark.parametrize("theta", [1.5, -0.1, math.nan])
+def test_run_sweep_checks_theta_before_any_solve(compact_kernel, monkeypatch,
+                                                 theta):
+    calls = _spy_on_simulate(monkeypatch)
+    with pytest.raises(ValidationError):
+        run_sweep(compact_kernel, [3.0, 4.0, 5.0], theta=theta)
+    assert calls == []
 
 
 def test_simulate_takes_the_reach_once(compact_kernel, monkeypatch):
