@@ -8,8 +8,10 @@ section 9.4): from p = 0 each element brackets its root, by halving the
 distance to a finite edge of the domain of H or by doubling steps, backing
 off where H overflows; then Newton steps inside the bracket, bisecting
 where Newton leaves it or fails to halve the step before last.  Where H'
-never reaches q the supremum is attained at the domain edge.  Each
-iteration makes one engine call for all active q, so a result depends on
+never reaches q the supremum is attained at the domain edge, taken as
+the engine's inner edge (`ldp.hamiltonian._inner_domain`, which owns the
+margin).  Each iteration makes one engine call for all active q, of both
+signs (the engine splits the batch by sign), so a result depends on
 nothing but its q.  A radial H in 2-D is solved the same way along the
 ray of q; an asymmetric one by a damped Newton iteration per point.
 
@@ -34,7 +36,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import (BelowRange, NonConvergence, UnsupportedKernel,
                      ValidationError)
-from .hamiltonian import _DOMAIN_MARGIN, Hamiltonian
+from .hamiltonian import Hamiltonian, _inner_domain
 from .kernels import CompactTail, CriticalTail
 
 _MAX_ITER = 200
@@ -51,14 +53,6 @@ class ConjugateResult:
     hit_domain_boundary: bool
 
 
-def _inner_bounds(domain):
-    lo, hi = domain
-    m = _DOMAIN_MARGIN
-    plo = lo + m * max(1.0, abs(lo)) if math.isfinite(lo) else -math.inf
-    phi = hi - m * max(1.0, abs(hi)) if math.isfinite(hi) else math.inf
-    return plo, phi
-
-
 def _points(v, N, name):
     """v as an (m, N) array of finite points, and whether it was one point
     (a number or an N-vector); in 1-D a flat array holds m points."""
@@ -70,19 +64,6 @@ def _points(v, N, name):
     if not np.isfinite(v).all():
         raise ValidationError(f"{name} must be finite")
     return v.reshape(-1, N), one
-
-
-def _batch(h: Hamiltonian, ps, moments):
-    """h.batch at ps, in one call for the p < 0 and one for the p >= 0: a
-    batch whose p straddle 0 needs a quadrature rule of its own, while
-    one-signed batches share the rules of single solves."""
-    if ps.size < 2 or not ps.min() < 0 <= ps.max():
-        return h.batch(ps, moments)
-    neg = ps < 0
-    out = np.empty((len(moments), ps.size))
-    out[:, neg] = h.batch(ps[neg], moments)
-    out[:, ~neg] = h.batch(ps[~neg], moments)
-    return out
 
 
 def _step_back(h: Hamiltonian, p, pn):
@@ -107,7 +88,7 @@ def _solve(h: Hamiltonian, qs):
     for a radial H): values, maximisers, residuals, iterations and
     boundary hits, as arrays.  Each phase keeps its active elements packed
     and drops those that finish."""
-    plo, phi = _inner_bounds(h.domain)
+    plo, phi = _inner_domain(h.domain)
     p0 = 0.0 if plo < 0.0 < phi else 0.5 * (max(plo, -1.0) + min(phi, 1.0))
     g0 = qs - h.batch([p0], (1,))[0, 0]     # g = q - H'(p) falls with p
     m = qs.size
@@ -133,7 +114,7 @@ def _solve(h: Hamiltonian, qs):
         if fin.any():
             pn = np.where(fin, edge if k > 40 else pi + (edge - pi) * 0.5, pn)
         try:
-            G = _batch(h, pn, (1,))[0]
+            G = h.batch(pn, (1,))[0]
         except NonConvergence:
             pn, G = _step_back(h, pi, pn)
         done = cross = s * (Q - G) <= 0
@@ -156,7 +137,7 @@ def _solve(h: Hamiltonian, qs):
     A, B, Q, kb = a[i], b[i], qs[i], it[i]
     T = np.maximum(1e-10, 1e-12 * np.abs(Q))
     P = 0.5 * (A + B)
-    G, C = _batch(h, P, (1, 2))
+    G, C = h.batch(P, (1, 2))
     G = Q - G
     dx = dx_old = B - A             # |last step| and |the one before|
     done, last = np.abs(G) <= T, np.zeros(i.size, dtype=bool)
@@ -185,7 +166,7 @@ def _solve(h: Hamiltonian, qs):
         step = np.where(newton, step, 0.5 * (A + B) - P)
         dx_old, dx = dx, np.abs(step)
         P = P + step
-        G, C = _batch(h, P, (1, 2))
+        G, C = h.batch(P, (1, 2))
         G = Q - G
         last = B - A < 1e-15 * np.maximum(1.0, np.abs(A) + np.abs(B))
         done = last | (np.abs(G) <= T)
@@ -196,9 +177,9 @@ def _solve(h: Hamiltonian, qs):
     Hv = np.empty(m)
     inner = ~hit
     if inner.any():
-        Hv[inner] = _batch(h, p[inner], (0,))[0]
+        Hv[inner] = h.batch(p[inner], (0,))[0]
     if hit.any():
-        Hv[hit], G = _batch(h, p[hit], (0, 1))
+        Hv[hit], G = h.batch(p[hit], (0, 1))
         resid[hit] = np.abs(qs[hit] - G)
     return p * qs - Hv, p, resid, it, hit
 
@@ -235,7 +216,7 @@ def _conjugate_nd(h: Hamiltonian, q):
     """Damped Newton from p = 0 for small N (asymmetric Hamiltonians)."""
     N = h.dimension
     p = np.zeros(N)
-    plo, phi = _inner_bounds(h.domain)
+    plo, phi = _inner_domain(h.domain)
 
     def phi_obj(p):
         return float(np.dot(p, q)) - float(h.value(p))
@@ -267,8 +248,7 @@ def _conjugate_nd(h: Hamiltonian, q):
         base = phi_obj(p)
         for _ in range(60):
             pn = p + lam * step
-            if (math.isfinite(phi) and np.linalg.norm(pn) > phi) or \
-               (math.isfinite(plo) and np.linalg.norm(pn) > abs(plo)):
+            if np.linalg.norm(pn) > min(phi, -plo):
                 lam *= 0.5
                 continue
             if phi_obj(pn) >= base:
@@ -325,6 +305,8 @@ def k_transform(kernel, p) -> ConjugateResult:
         raise UnsupportedKernel(
             "K-transform machinery is defined for symmetric kernels only")
     p = np.atleast_1d(np.asarray(p, dtype=float))
+    if not np.isfinite(p).all():
+        raise ValidationError(f"k_transform requires a finite p, got {p}")
     pr = float(np.linalg.norm(p))
     phat = p / pr if pr > 0 else np.eye(kernel.dimension)[0]
     tail = kernel.tail

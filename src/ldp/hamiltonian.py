@@ -12,21 +12,29 @@ shares): split at delta, at |y| = 1, at rho0/2, at the support edges
 and at the kernel's jumps; halved until their end points differ by at
 most a factor 2 and ln(e^{py} J) spreads little over each for the
 batch's extreme p; geometric out to one tail cut sized for the
-largest |p|.  The extreme p are first rounded out to a ladder with one
-rung per octave (2^j, or edge (1 - 2^{-j}) below a finite domain edge),
-and each HamiltonianParams keeps the rules of the rung pairs it has met,
-so the scalar calls of one octave share one rule.  Singular kernels take
-y = u^2 near the origin.  Integrands
-are formed as exp(p y + ln J(y)), so huge exponential factors against
-tiny densities never overflow, and p is processed in chunks.  A
-symmetric kernel takes a batch of p <= 0 at -p, on the rule of -p.  For a
-radial kernel in 2-D the same panels cover the radii r > 0 and the
-angular integral gives Bessel factors (I_0 - 1 for H, I_1 for |DH|,
-I_0 + I_2 for the curvature along p), formed as the scaled I_n(|p| r)
-e^{-|p| r} times exp(|p| r + ln J(r)).  eval_batch is the batched entry
-point, over p in 1-D and over the radii |p| of a radial H in 2-D; the
-scalar operations are batches of one in both dimensions; HTable tabulates
-H in one call.
+largest |p|.  A batch with p of both signs runs as its halves p < 0 and
+p >= 0, each on the rule it would get alone.  The largest |p| of a half
+is first rounded out to a ladder with one rung per octave (2^j, or
+edge (1 - 2^{-j}) below a finite domain edge), and each
+HamiltonianParams keeps the rules of the signed rungs it has met, so
+the scalar calls of one octave share one rule.  A symmetric kernel
+takes p < 0 at -p, on the rule of -p.  Singular kernels take y = u^2
+near the origin.  Integrands are formed as exp(p y + ln J(y)), so huge
+exponential factors against tiny densities never overflow, and p is
+processed in chunks.  For a radial kernel in 2-D the same panels cover
+the radii r > 0 and the angular integral gives Bessel factors (I_0 - 1
+for H, I_1 for |DH|, I_0 + I_2 for the curvature along p), formed as
+the scaled I_n(|p| r) e^{-|p| r} times exp(|p| r + ln J(r)).
+
+The engine owns the margin kept from a finite edge of the domain of H:
+`_inner_domain` pulls each edge in to edge (1 - _DOMAIN_MARGIN), the
+engine refuses any p beyond it, and the L solves and HJ tables of the
+other modules stop on it.  eval_batch is the batched entry point, over
+p in 1-D and over the radii |p| of a radial H in 2-D.  The scalar
+operations, in both dimensions, check their point, make one engine call
+for a batch of one at r = p (1-D) or r = |p| (2-D), and add the local
+terms <A p, p> + B . p, 2 A p + B and 2 <A nu, nu>; HTable tabulates H
+in one call.
 """
 
 from __future__ import annotations
@@ -70,6 +78,8 @@ class HamiltonianParams:
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
         if self.A.shape != (N, N):
             raise ValidationError(f"A must be {N}x{N}")
+        if not np.isfinite(self.A).all():
+            raise ValidationError("A must be finite")
         if not np.allclose(self.A, self.A.T, atol=1e-12):
             raise ValidationError("A must be symmetric")
         if np.min(np.linalg.eigvalsh(self.A)) < -1e-12:
@@ -79,6 +89,8 @@ class HamiltonianParams:
         self.B = np.atleast_1d(np.asarray(self.B, dtype=float))
         if self.B.shape != (N,):
             raise ValidationError(f"B must have length {N}")
+        if not np.isfinite(self.B).all():
+            raise ValidationError("B must be finite")
         k = self.kernel
         if k is not None and not self.compensated:
             if k.singularity_exponent >= 1.0:
@@ -107,32 +119,34 @@ def _domain_interval(kernel):
     return kernel.p_domain
 
 
+def _inner_domain(domain):
+    """The interval of p the engine evaluates: each finite edge of the
+    domain of H (which holds 0) pulled in by the margin, edge (1 -
+    _DOMAIN_MARGIN), so that no p closer to an edge than that is taken."""
+    lo, hi = domain
+    return lo * (1 - _DOMAIN_MARGIN), hi * (1 - _DOMAIN_MARGIN)
+
+
 def _check_domain(kernel, ps):
-    """Every p of ps (radii |p| in 2-D) inside the domain of H, short of
-    its edges by the margin, or DomainViolation."""
+    """Every p of the array ps (radii |p| in 2-D) inside the domain of H,
+    short of its edges by the margin, or DomainViolation."""
     lo, hi = _domain_interval(kernel)
+    plo, phi = _inner_domain((lo, hi))
     name = "|p|" if kernel.dimension == 2 else "p"
-    if math.isfinite(hi) and np.max(ps) > hi * (1 - _DOMAIN_MARGIN):
-        raise DomainViolation(f"{name}={np.max(ps)} above domain bound {hi}")
-    if math.isfinite(lo) and np.min(ps) < lo * (1 - _DOMAIN_MARGIN):
-        raise DomainViolation(f"{name}={np.min(ps)} below domain bound {lo}")
-
-
-def _radius(k, p):
-    """|p| for the 2-D radial path, after the domain and symmetry checks
-    (hypot: the squares of |p| < 1e-154 would lose digits to subnormals)."""
-    r = math.hypot(*p)
-    _check_domain(k, r)
-    if not k.symmetric:
-        raise ValidationError("2-D evaluation requires a radial kernel")
-    return r
+    if phi < math.inf and ps.max() > phi:
+        raise DomainViolation(f"{name}={ps.max()} above domain bound {hi}")
+    if plo > -math.inf and ps.min() < plo:
+        raise DomainViolation(f"{name}={ps.min()} below domain bound {lo}")
 
 
 def _as_point(params, v, name="p"):
+    """v as a finite point of the dimension of H, or ValidationError."""
     v = np.atleast_1d(np.asarray(v, dtype=float))
     if v.shape != (params.dimension,):
         raise ValidationError(f"{name} must have {params.dimension} "
                               f"component(s), got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{name} must be finite")
     return v
 
 
@@ -141,8 +155,8 @@ def _as_point(params, v, name="p"):
 # ---------------------------------------------------------------------------
 
 _RULES_KEPT = 32        # rules cached per HamiltonianParams, oldest dropped
-#                         (one 1-D L solve visits 2-5 rung pairs, one
-#                         batched solve over 801 q of both signs 3-13)
+#                         (one 1-D L solve visits 2-5 rungs, one batched
+#                         solve over 801 q of both signs 3-13)
 _CHUNK = 1 << 12        # float64 entries per temporary (32 KB)
 # 1/k! for k = 13 .. 2: Horner coefficients of e^x - 1 - x
 _EXPM1MX = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
@@ -166,8 +180,8 @@ def _rung(p, edge):
 def _rule(params, p_lo, p_hi, essential):
     """Nodes y, weights w, ln J and J at the nodes for the integral over
     the line, or in 2-D over the radii with the polar 2 pi r in w (over
-    |y| > rho0/2 if essential), for every p in [p_lo, p_hi] (p_lo <= 0 <=
-    p_hi; in 2-D p is |p| and p_lo = 0); then the mask c of the nodes
+    |y| > rho0/2 if essential), for every p in [p_lo, p_hi], one end of
+    which is 0 (in 2-D p is |p| and p_lo = 0); then the mask c of the nodes
     where the compensator acts, c J, and for a singular kernel (not
     essential) J(side _U_MIN^2) on each ray."""
     k = params.kernel
@@ -206,26 +220,42 @@ def _radial_integrand(m, essential, x, y, e, jv):
     return f
 
 
-@np.errstate(over="ignore", invalid="ignore")   # overflow raises below
 def _jump_moments(params, ps, moments, essential):
     """The jump integrals of H, H', H'' (or H^ess and its derivative) for
     every p in ps, as an array (len(moments), len(ps)).  In 2-D ps holds
-    radii |p| and the moments are H, |DH| and the curvature along p."""
+    radii |p| and the moments are H, |DH| and the curvature along p.  A
+    batch with p of both signs runs as its halves p < 0 and p >= 0, each
+    on the rule it would get alone."""
+    if not ps.min() < 0.0 <= ps.max():
+        return _one_signed(params, ps, moments, essential)
+    neg = ps < 0.0
+    out = np.empty((len(moments), ps.size))
+    for half in (neg, ~neg):
+        out[:, half] = _one_signed(params, ps[half], moments, essential)
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")   # overflow raises below
+def _one_signed(params, ps, moments, essential):
+    """_jump_moments for a batch whose p share one sign, on the rule of
+    its signed rung: the rung of its largest |p|, negated for p < 0."""
     k = params.kernel
     sides = _rays(k)[1]
     radial = k.dimension == 2
     lo, hi = k.p_domain
+    neg = ps[0] < 0.0
     # a symmetric kernel makes H and H'' even in p and H' odd: a batch of
-    # p <= 0 runs at -p, on the rule of the mirror image of its range
-    flip = k.symmetric and not radial and ps.max() <= 0.0 < -ps.min()
+    # p < 0 runs at -p, on the rule of -p
+    flip = neg and k.symmetric and not radial
     if flip:
-        ps = -ps
-    key = (essential, -_rung(-min(ps.min(), 0.0), -lo),
-           _rung(max(ps.max(), 0.0), hi))
+        ps, neg = -ps, False
+    rung = -_rung(-ps.min(), -lo) if neg else _rung(ps.max(), hi)
+    key = (essential, rung)
     if key not in params._rules:
         if len(params._rules) >= _RULES_KEPT:
             del params._rules[next(iter(params._rules))]
-        params._rules[key] = _rule(params, key[1], key[2], essential)
+        params._rules[key] = _rule(params, min(rung, 0.0), max(rung, 0.0),
+                                   essential)
     y, w, lj, jv, c, cjv, j_eps = params._rules[key]
     # e^{py} - 1 near 0 serves H and the compensated H'
     small = 0 in moments or params.compensated
@@ -324,19 +354,26 @@ def eval_batch(params: HamiltonianParams, ps, moments=(0,),
     return out
 
 
-def _radial(params, p, moments, essential=False):
-    """|p| and the 2-D radial integrals at it, a batch of one."""
-    pr = _radius(params.kernel, p)
-    return pr, _jump_moments(params, np.array([pr]), moments, essential)[:, 0]
+def _jumps_at(params, p, moments, essential=False):
+    """r = p in 1-D or |p| in 2-D, and the jump integrals of `moments` at
+    r, a batch of one, for a point p checked by _as_point (hypot: the
+    squares of |p| < 1e-154 would lose digits to subnormals)."""
+    k = params.kernel
+    r = float(p[0]) if params.dimension == 1 else math.hypot(*p)
+    if k is None:
+        return r, np.zeros(len(moments))
+    if not k.symmetric and k.dimension == 2:
+        raise ValidationError("2-D evaluation requires a radial kernel")
+    ps = np.array([r])
+    _check_domain(k, ps)
+    return r, _jump_moments(params, ps, moments, essential)[:, 0]
 
 
 def eval_h(params: HamiltonianParams, p):
     """H(p)."""
     p = _as_point(params, p)
-    if params.dimension == 1:
-        return float(eval_batch(params, p)[0, 0])
-    quad_part = float(p @ params.A @ p + params.B @ p)
-    return quad_part + float(_radial(params, p, (0,))[1][0])
+    (jump,) = _jumps_at(params, p, (0,))[1]
+    return float(p @ (params.A @ p + params.B)) + float(jump)
 
 
 def eval_h_ess(params: HamiltonianParams, p, moment=0):
@@ -353,55 +390,39 @@ def eval_h_ess(params: HamiltonianParams, p, moment=0):
     if moment == 1 and k.dimension != 1:
         raise ValidationError("essential gradient is 1-D only")
     p = _as_point(params, p)
-    if k.dimension == 1:
-        return float(eval_batch(params, p, (moment,), essential=True)[0, 0])
-    return float(_radial(params, p, (0,), essential=True)[1][0])
-
-
-def _grad_2d(params, p, pr, mag):
-    """DH(p) from |p| and the jump part |DH| of the radial integrals."""
-    lin = 2.0 * params.A @ p + params.B
-    return lin + mag * (p / pr) if pr > 0 else lin
+    return float(_jumps_at(params, p, (moment,), essential=True)[1][0])
 
 
 def grad_h(params: HamiltonianParams, p):
-    """DH(p) as an (N,) array."""
+    """DH(p) as an (N,) array: 2 A p + B, plus the jump part, which is H'
+    itself in 1-D and |DH| along p / |p| in 2-D."""
     p = _as_point(params, p)
+    r, (mag,) = _jumps_at(params, p, (1,))
+    lin = 2.0 * params.A @ p + params.B
     if params.dimension == 1:
-        return eval_batch(params, p, (1,))[0]
-    pr, (mag,) = _radial(params, p, (1,))
-    return _grad_2d(params, p, pr, mag)
+        return lin + mag
+    return lin + mag * (p / r) if r > 0 else lin
 
 
 def hess_quadform(params: HamiltonianParams, p, nu):
-    """<D^2 H(p) nu, nu> for a direction nu."""
-    if params.dimension == 1:
-        p = _as_point(params, p)
-        nu = _as_point(params, nu, "nu")
-        return float(nu[0] ** 2 * eval_batch(params, p, (2,))[0, 0])
-    return grad_hess(params, p, nu)[1]
-
-
-def grad_hess(params: HamiltonianParams, p, nu):
-    """DH(p) and <D^2 H(p) nu, nu> from one engine call, the same values
-    grad_h and hess_quadform give: a Newton step needs both at one p."""
+    """<D^2 H(p) nu, nu> for a direction nu: 2 <A nu, nu> plus the jump
+    part."""
     p = _as_point(params, p)
     nu = _as_point(params, nu, "nu")
-    if params.dimension == 1:
-        d1, d2 = eval_batch(params, p, (1, 2))
-        return d1, float(nu[0] ** 2 * d2[0])
-    pr, (mag, t_par) = _radial(params, p, (1, 2))
-    grad = _grad_2d(params, p, pr, mag)
     quad_part = float(2.0 * nu @ params.A @ nu)
+    if params.dimension == 1:
+        (t_par,) = _jumps_at(params, p, (2,))[1]
+        return quad_part + float(nu[0] ** 2 * t_par)
+    r, (mag, t_par) = _jumps_at(params, p, (1, 2))
     # across p the curvature is pi int r^3 J (I_0 - I_2), and
     # I_0(x) - I_2(x) = (2 / x) I_1(x) makes it |DH| / |p|; it differs from
     # the curvature along p by O(|p|^2), so below |p| = 1e-100 (where I_1
     # would lose its digits to subnormals) the two are equal
-    if pr <= 1e-100:
-        return grad, quad_part + float(nu @ nu) * t_par
-    c_par = float(nu @ p) / pr
+    if r <= 1e-100:
+        return quad_part + float(nu @ nu) * t_par
+    c_par = float(nu @ p) / r
     c_perp2 = float(nu @ nu) - c_par**2
-    return grad, quad_part + c_par**2 * t_par + max(c_perp2, 0.0) * mag / pr
+    return quad_part + c_par**2 * t_par + max(c_perp2, 0.0) * mag / r
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import CFLViolation, DomainViolation, ValidationError
 from .fields import Field, FieldHistory, _snapshot_times
-from .hamiltonian import _DOMAIN_MARGIN, HTable, Hamiltonian, first_reach
+from .hamiltonian import HTable, Hamiltonian, _inner_domain, first_reach
 from .rate import lax_oleinik
 
 _CFL = 0.9             # dt * max|H'| / h, per Euler stage
@@ -218,8 +218,7 @@ def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
     lo, hi = h.domain
     t_first = grid.snapshots[0]
     need = grid.A / grid.h
-    if (math.isfinite(hi) and need > hi) or (math.isfinite(lo)
-                                             and -need < lo):
+    if need > hi or -need < lo:
         raise DomainViolation(
             "initial data implies slopes outside dom(H); use "
             "solve_hj_constrained for gradient-constrained Hamiltonians")
@@ -231,8 +230,8 @@ def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
     speed_target = 8.0 / t_first
     value_target = 2000.0 * grid.A / t_first
     caps = {}
-    for side, bound in ((+1.0, hi), (-1.0, -lo)):
-        bound *= 1 - _DOMAIN_MARGIN
+    plo, phi = _inner_domain(h.domain)
+    for side, bound in ((+1.0, phi), (-1.0, -plo)):
         core = first_reach(h, side, bound, (1,),
                            lambda G: np.abs(G) >= speed_target)
         full = first_reach(h, side, bound, (0, 1), lambda H, G: (
@@ -251,7 +250,7 @@ def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
     """Gradient-constrained evolution for critical Hamiltonians."""
     if beta0 <= 0:
         raise ValidationError("beta0 must be positive")
-    edge = beta0 * (1 - _DOMAIN_MARGIN)
+    edge = _inner_domain((-beta0, beta0))[1]
     t_first = grid.snapshots[0]
     # Clamp slopes well inside dom H.  The working cap keeps H(p_cap)
     # small enough that the untouched beta0-ramp loses only O(t_first)
@@ -259,9 +258,7 @@ def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
     # reach; both effects stay well below the verification tolerances.
     value_cap = max(5.0, abs(float(h.value(0.8 * beta0))))
     pmax = first_reach(h, +1.0, edge, (0,), lambda H: np.abs(H) >= value_cap)
-    pmin = -pmax
-    if math.isfinite(h.domain[0]):
-        pmin = max(pmin, h.domain[0] * (1 - _DOMAIN_MARGIN))
+    pmin = max(-pmax, _inner_domain(h.domain)[0])
     tab = HTable(h, np.linspace(pmin, pmax, _TABLE_SIZE))
     fields, stats = _march(tab, grid, sweep_beta=beta0)
     return FieldHistory(fields=fields, meta={

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -107,6 +108,15 @@ def _require(cond, msg):
         raise ValidationError(msg)
 
 
+def _finite_real(v):
+    """v is a real number, not a bool, that is a finite float."""
+    try:
+        return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and math.isfinite(v))
+    except OverflowError:       # an int past the float range
+        return False
+
+
 def _check_params(family, params, allowed, required):
     unknown = set(params) - set(allowed)
     _require(not unknown, f"{family}: unknown parameter(s) {sorted(unknown)}")
@@ -118,11 +128,21 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
     """Construct a kernel from a family name and parameters.
 
     rho0 defaults to half the support radius for compact families and to 1
-    for families with unbounded support.
+    for families with unbounded support.  The family is a name, dimension
+    the integer 1 or 2, and every parameter and rho0 a finite real; other
+    values raise ValidationError.
     """
-    params = dict(params or {})
-    _require(family in _FAMILIES, f"unknown kernel family '{family}'")
-    _require(dimension in (1, 2), "dimension must be 1 or 2")
+    params = {} if params is None else params
+    _require(isinstance(family, str) and family in _FAMILIES,
+             f"unknown kernel family '{family}'")
+    _require(isinstance(dimension, numbers.Integral)
+             and not isinstance(dimension, bool) and dimension in (1, 2),
+             f"dimension must be the integer 1 or 2, not {dimension!r}")
+    _require(isinstance(params, dict), "kernel params must be an object")
+    bad = [name for name, v in params.items() if not _finite_real(v)]
+    _require(not bad, f"{family}: parameter(s) {bad} must be finite reals")
+    _require(rho0 is None or _finite_real(rho0), "rho0 must be a finite real")
+    params = dict(params)
 
     if family == "asymmetric_1d_demo":
         _check_params(family, params, (), ())
@@ -291,15 +311,21 @@ def kernel_from_dict(spec):
     _require("family" in spec, "kernel spec: 'family' is required")
     return build_kernel(
         spec["family"],
-        dimension=int(spec.get("dimension", 1)),
+        dimension=spec.get("dimension", 1),
         params=spec.get("params", {}),
         rho0=spec.get("rho0"),
     )
 
 
 def load_kernel(path):
-    with open(path) as fh:
-        return kernel_from_dict(json.load(fh))
+    """The kernel of the JSON spec at path; a file that cannot be read or
+    parsed raises ValidationError."""
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as e:     # ValueError: JSONDecodeError
+        raise ValidationError(f"cannot read kernel spec {path}: {e}") from e
+    return kernel_from_dict(spec)
 
 
 # ---------------------------------------------------------------------------

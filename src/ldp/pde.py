@@ -101,6 +101,8 @@ class SimConfig:
             raise ValidationError("need finite A_diff >= 0 and B_drift")
         if self.n_per_unit < 4:
             raise ValidationError("n_per_unit must be at least 4")
+        if not (callable(self.u0) or 0 <= self.u0 < math.inf):
+            raise ValidationError("u0 must be finite and nonnegative")
         if self.kernel.dimension != 1:
             raise ValidationError("the simulator is 1-D only")
         self.reach = reach = tail_reach(self.kernel)
@@ -126,8 +128,8 @@ class SimConfig:
             vals = np.array([float(self.u0(xi)) for xi in x])
         else:
             vals = np.full_like(x, float(self.u0))
-        if np.any(vals < 0):
-            raise ValidationError("u0 must be nonnegative")
+        if not ((vals >= 0) & (vals < math.inf)).all():
+            raise ValidationError("u0 must be finite and nonnegative")
         return vals
 
 

@@ -131,8 +131,8 @@ def predict_log_bound(kernel, R, theta=0.0, t=1.0):
     """
     if not (0 <= theta < 1):
         raise ValidationError("theta must lie in [0, 1)")
-    if R <= 1 or t <= 0:
-        raise ValidationError("need R > 1 and t > 0")
+    if not (1 < R < math.inf and 0 < t < math.inf):
+        raise ValidationError("need finite R > 1 and t > 0")
     tail = kernel.tail
     if isinstance(tail, CriticalTail):
         return (1 - theta) * tail.beta0 * R

@@ -179,6 +179,40 @@ def test_kinv_non_finite_z_exit_2(spec, z, request, capsys):
     assert err["error"] == "ValidationError"
 
 
+# kernel spec files as written, None for a missing file; Python's json
+# reads Infinity and NaN
+_BAD_SPECS = {
+    "rho Infinity": '{"family": "compact_uniform", "params": {"rho": '
+                    'Infinity}}',
+    "alpha string": '{"family": "exp_power", "params": {"alpha": "abc"}}',
+    "alpha null": '{"family": "exp_power", "params": {"alpha": null}}',
+    "params list": '{"family": "exp_power", "params": [1, 2]}',
+    "dimension string": '{"family": "exp_power", "dimension": "x", '
+                        '"params": {"alpha": 2.0}}',
+    "invalid json": '{"family": "exp_power", ',
+    "missing file": None,
+    "alpha Infinity": '{"family": "exp_linear", "params": {"alpha": '
+                      'Infinity}}',
+    "mass Infinity": '{"family": "compact_uniform", "params": {"rho": 1.0, '
+                     '"mass": Infinity}}',
+    "dimension 1.5": '{"family": "exp_power", "dimension": 1.5, '
+                     '"params": {"alpha": 2.0}}',
+    "rho0 NaN": '{"family": "exp_power", "params": {"alpha": 2.0}, '
+                '"rho0": NaN}',
+    "unknown family": '{"family": "no_such_family", "params": {}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_SPECS))
+def test_bad_kernel_spec_exit_2(name, tmp_path, capsys):
+    path = tmp_path / "kernel.json"
+    if _BAD_SPECS[name] is not None:
+        path.write_text(_BAD_SPECS[name])
+    assert main(["kinv", "--kernel", str(path), "--z", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+
+
 def _run_main(argv):
     """Exit code, stdout and stderr of one in-process call; an argparse
     usage error exits by SystemExit."""

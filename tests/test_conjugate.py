@@ -235,6 +235,25 @@ def test_tempered_batch_hits_the_edge_element_by_element():
     assert np.all(np.abs(batch.argmax[batch.hit_domain_boundary]) == edge)
 
 
+@pytest.mark.parametrize("lam", [1.722152408750556, 10.286675915261911,
+                                 0.5])
+def test_solve_past_the_edge_ends_on_the_inner_edge(lam):
+    # alpha = 1.5: H' stays finite up to the edge lam of dom H, and q = 50
+    # lies past H' there; the boundary hit is the engine's inner edge,
+    # lam (1 - 1e-6), which the engine itself accepts
+    h = Hamiltonian.from_kernel(build_kernel("tempered_stable", 1,
+                                             {"alpha": 1.5, "lam": lam}))
+    lo, hi = hamiltonian._inner_domain(h.domain)
+    assert (lo, hi) == (-lam * (1 - 1e-6), lam * (1 - 1e-6))
+    one = conjugate(h, 50.0)
+    assert one.hit_domain_boundary and one.argmax[0] == hi
+    assert one.value == 50.0 * hi - h.value(hi)
+    many = Lagrangian(h).result(np.array([-50.0, 50.0]))
+    assert many.hit_domain_boundary.all()
+    np.testing.assert_array_equal(many.argmax[:, 0], [lo, hi])
+    assert many.value[1] == one.value
+
+
 def test_batch_backs_off_where_h_overflows():
     # H'(p) ~ e^{p^2/4}: doubling from 0 overflows H at p = 63 for these
     # q, and each such step is halved back on its own
@@ -284,7 +303,8 @@ def test_call_forms_keep_their_types(compact_h):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_input_is_a_validation_error(compact_h, bad):
+def test_non_finite_input_is_a_validation_error(compact_h,
+                                                gaussian_tail_kernel, bad):
     L = Lagrangian(compact_h)
     h2 = Hamiltonian.from_kernel(build_kernel("compact_uniform", 2,
                                               {"rho": 1.0}))
@@ -294,6 +314,7 @@ def test_non_finite_input_is_a_validation_error(compact_h, bad):
                  lambda: rate_iinf(L, bad, 0.5),
                  lambda: rate_iinf(L, 0.2, bad),
                  lambda: lax_oleinik(L, 1.0, [[0.1], [bad]], 0.5),
-                 lambda: lax_oleinik(L, 1.0, 0.1, bad)):
+                 lambda: lax_oleinik(L, 1.0, 0.1, bad),
+                 lambda: k_transform(gaussian_tail_kernel, bad)):
         with pytest.raises(ValidationError):
             call()

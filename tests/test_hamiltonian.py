@@ -5,8 +5,9 @@ import pytest
 
 import ldp.hamiltonian as ham
 from ldp import (DomainViolation, Hamiltonian, HamiltonianParams,
-                 ValidationError, eval_h_ess)
-from ldp.hamiltonian import eval_batch, eval_h, grad_h, hess_quadform
+                 ValidationError, build_kernel, eval_h_ess)
+from ldp.hamiltonian import (HTable, eval_batch, eval_h, grad_h,
+                             hess_quadform)
 
 
 def test_compact_uniform_closed_form(compact_h):
@@ -114,6 +115,10 @@ def test_params_validation(compact_kernel):
         HamiltonianParams(kernel=compact_kernel, A=np.array([[-1.0]]))
     with pytest.raises(ValidationError):
         HamiltonianParams(kernel=compact_kernel, B=np.array([1.0, 2.0]))
+    with pytest.raises(ValidationError):
+        HamiltonianParams(kernel=compact_kernel, A=np.array([[math.inf]]))
+    with pytest.raises(ValidationError):
+        HamiltonianParams(kernel=compact_kernel, B=np.array([math.nan]))
 
 
 def test_2d_radial_reduction():
@@ -140,9 +145,47 @@ def test_point_length_must_match_dimension(compact_kernel):
 
 
 def test_non_finite_p_rejected(compact_h):
-    for p in (math.nan, math.inf):
-        with pytest.raises(ValidationError):
-            compact_h.value(p)
+    # the 2-D scalar operations check their point as the 1-D ones do, and
+    # hess_quadform its direction in both dimensions
+    p2 = HamiltonianParams(kernel=build_kernel("compact_uniform", 2,
+                                               {"rho": 1.0}))
+    for bad in (math.nan, math.inf, -math.inf):
+        for call in (lambda: compact_h.value(bad),
+                     lambda: compact_h.hess_quadform(0.5, bad),
+                     lambda: eval_h(p2, [bad, 0.0]),
+                     lambda: grad_h(p2, [0.5, bad]),
+                     lambda: eval_h_ess(p2, [bad, bad]),
+                     lambda: hess_quadform(p2, [bad, 0.0], [1.0, 0.0]),
+                     lambda: hess_quadform(p2, [0.5, 0.0], [bad, 0.0])):
+            with pytest.raises(ValidationError):
+                call()
+
+
+@pytest.mark.parametrize("name", ["compact_kernel", "demo_kernel"])
+def test_batch_of_both_signs_runs_as_its_halves(name, request, monkeypatch):
+    builds = []
+    rule = ham._rule
+
+    def spy(params, p_lo, p_hi, essential):
+        builds.append((p_lo, p_hi))
+        return rule(params, p_lo, p_hi, essential)
+
+    monkeypatch.setattr(ham, "_rule", spy)
+    kernel = request.getfixturevalue(name)
+    ps = np.array([0.7, -0.4, 0.0, 2.5, -0.9, 1.1])
+    neg = ps < 0
+    for ess, moments in ((False, (0, 1, 2)), (True, (0, 1))):
+        params = HamiltonianParams(kernel=kernel)
+        both = eval_batch(params, ps, moments, essential=ess)
+        halves = np.empty_like(both)
+        halves[:, neg] = eval_batch(params, ps[neg], moments, essential=ess)
+        halves[:, ~neg] = eval_batch(params, ps[~neg], moments,
+                                     essential=ess)
+        assert np.array_equal(both, halves)
+        # each rule covers p of one sign, keyed by one signed rung
+        assert all(len(key) == 2 for key in params._rules)
+    assert builds and all(min(p_lo, p_hi) == 0.0 or max(p_lo, p_hi) == 0.0
+                          for p_lo, p_hi in builds)
 
 
 def test_one_rule_per_octave(compact_kernel, monkeypatch):
@@ -167,3 +210,6 @@ def test_one_rule_per_octave(compact_kernel, monkeypatch):
     # 2.2 p is past the octave of p
     eval_h(params, 2.2 * 1.5)
     assert builds[1:] == [(0.0, 4.0)]
+    # a table over [-P, P] of a symmetric kernel takes the rule of P
+    HTable(Hamiltonian.from_params(params), np.linspace(-3.5, 3.5, 201))
+    assert len(builds) == 2

@@ -452,9 +452,16 @@ def test_simulate_takes_the_reach_once(compact_kernel, monkeypatch):
     ("R", math.nan), ("R", math.inf), ("T", math.nan), ("T", math.inf),
     ("A_diff", math.nan), ("A_diff", math.inf), ("B_drift", math.nan),
     ("B_drift", -math.inf), ("snapshots", [0.25, math.nan]),
-    ("snapshots", [math.inf])])
+    ("snapshots", [math.inf]), ("u0", math.inf), ("u0", math.nan),
+    ("u0", lambda x: math.nan), ("u0", lambda x: math.inf)])
 def test_config_rejects_non_finite_values(compact_kernel, field, value):
     kwargs = dict(kernel=compact_kernel, R=3.0, T=0.5)
     kwargs[field] = value
-    with pytest.raises(ValidationError):
-        SimConfig(**kwargs)
+    if callable(value):
+        # a callable u0 is checked where it is sampled
+        cfg = SimConfig(**kwargs)
+        with pytest.raises(ValidationError):
+            cfg.u0_values(cfg.x)
+    else:
+        with pytest.raises(ValidationError):
+            SimConfig(**kwargs)

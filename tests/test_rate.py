@@ -70,11 +70,16 @@ def test_predict_log_bound_formulas(compact_kernel, critical_kernel,
         expected, rel=1e-6)
 
 
-def test_predict_log_bound_validation(compact_kernel):
+def test_predict_log_bound_validation(compact_kernel, critical_kernel):
     with pytest.raises(ValidationError):
         predict_log_bound(compact_kernel, 16.0, theta=1.0)
     with pytest.raises(ValidationError):
         predict_log_bound(compact_kernel, 0.5)
+    for kernel in (compact_kernel, critical_kernel):
+        for R, t in ((math.nan, 1.0), (math.inf, 1.0), (16.0, math.nan),
+                     (16.0, math.inf)):
+            with pytest.raises(ValidationError):
+                predict_log_bound(kernel, R, t=t)
 
 
 def test_rate_2d_symmetric():
