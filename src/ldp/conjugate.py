@@ -305,8 +305,9 @@ def k_transform(kernel, p) -> ConjugateResult:
         raise UnsupportedKernel(
             "K-transform machinery is defined for symmetric kernels only")
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    if not np.isfinite(p).all():
-        raise ValidationError(f"k_transform requires a finite p, got {p}")
+    if p.shape != (kernel.dimension,) or not np.isfinite(p).all():
+        raise ValidationError(f"k_transform requires a finite p of "
+                              f"{kernel.dimension} component(s), got {p}")
     pr = float(np.linalg.norm(p))
     phat = p / pr if pr > 0 else np.eye(kernel.dimension)[0]
     tail = kernel.tail

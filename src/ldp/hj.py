@@ -20,10 +20,12 @@ The scheme follows Osher & Shu (SIAM J. Numer. Anal. 28, 1991):
   It is strong-stability-preserving with coefficient 1, so each stage
   obeys the step bound of a single Euler step.
 
-The step works in arrays allocated once per solve: each stage writes the
-slopes into the rows of one (2, n) array and evaluates both Godunov terms
-with one np.interp over it; np.where's choice of second differences and
-np.interp's result are its only new arrays.
+Each Euler stage is one pass of fifteen numpy calls on arrays allocated,
+and views of them bound, once per solve: ENO2 slopes into the rows p-,
+p+ of one (2, n) array, the clamp at p*, one np.interp for both Godunov
+terms, their maximum, the scaling by dt and the update of u1's interior.
+u is 0 on the boundary from the start and no stage writes there, so the
+plain march projects nothing.
 
 H is tabulated (one batched HTable) on a finite slope range
 [p_min, p_max] and held constant beyond it, which clamps the slopes fed
@@ -46,16 +48,21 @@ run; solve_hj_constrained treats
     max(u_t + H(u_x); |u_x| - beta0) = 0
 
 by projecting slopes into (-beta0, beta0) and enforcing the beta0-Lipschitz
-bound with a min-plus sweep after every stage, which also installs the
-correct initial trace min(A, beta0 dist(x)).
+bound with a min-plus sweep after the first stage and after the average,
+which also installs the correct initial trace min(A, beta0 dist(x)).
 
 Both solvers report the march in FieldHistory.meta: `steps` (Heun
-steps), `dt_min` and `dt_max`.
+steps), `dt_min` and `dt_max`; `clamped_steps`, the steps whose extreme
+slopes (the two reductions that set dt) lay outside [p_min, p_max]; and
+the phase timings `table_s` (slope range and H table) and `march_s`.
+Every field holds the one read-only x of its grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -92,7 +99,16 @@ class HJGrid:
 
     @property
     def x(self):
-        return np.linspace(-1.0, 1.0, self.n + 2)
+        return _grid_x(self.n)
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_x(n):
+    """The n interior nodes and the two boundary points, as one read-only
+    array that every grid of that n and every field on it shares."""
+    x = np.linspace(-1.0, 1.0, n + 2)
+    x.flags.writeable = False
+    return x
 
 
 def _table_knots(pmin, pmax, core_min, core_max):
@@ -118,94 +134,103 @@ def _table_knots(pmin, pmax, core_min, core_max):
 
 def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
     """The fields at the snapshot times and the march statistics: the
-    number of Heun steps and the smallest and largest dt taken."""
-    n, h = grid.n, grid.h
+    number of Heun steps, the smallest and largest dt taken, the steps
+    whose extreme slopes left the table, and the march's wall time."""
+    start = time.perf_counter()
+    n, h, dt_fixed = grid.n, grid.h, grid.dt
     ps, Hv = tab.ps, tab.Hv
     pstar = ps[np.argmin(Hv)]
-    # work arrays, allocated once per solve; every stage writes into them
+    p_lo, p_hi = float(ps[0]), float(ps[-1])
+    # work arrays, allocated once per solve, and every view of them a
+    # stage reads or writes, bound once
     du = np.empty(n + 1)            # first differences
     d2 = np.zeros(n + 2)            # second differences; none at the boundary
     ad2 = np.empty(n + 2)
     pick = np.empty(n + 1, dtype=bool)  # ENO2: the left d2 is smaller
     c = np.empty(n + 1)             # half the smaller second difference
     P = np.empty((2, n))            # rows p- and p+
-    u1 = np.zeros(n + 2)
-    if sweep_beta is not None:
-        ramp = sweep_beta * h * np.arange(n + 2)
-        work = np.empty(n + 2)
+    p_minus, p_plus = P
+    du_l, du_r, c_l, c_r = du[:-1], du[1:], c[:-1], c[1:]
+    d2_in, d2_l, d2_r = d2[1:-1], d2[:-1], d2[1:]
+    ad2_l, ad2_r = ad2[:-1], ad2[1:]
+    u = np.pad(np.full(n, float(grid.A)), 1)  # u = 0 on the boundary,
+    u1 = np.zeros(n + 2)            # which no stage writes
+    u_r, u_l, u_in = u[1:], u[:-1], u[1:-1]
+    u1_r, u1_l, u1_in = u1[1:], u1[:-1], u1[1:-1]
 
-    def project(v):
-        v[0] = v[-1] = 0.0
-        if sweep_beta is not None:
-            _lipschitz_sweep(v, ramp, work)
-
-    def slopes(v):
+    def slopes(v_r, v_l):
         # ENO2 one-sided slopes p-, p+ at the interior nodes, into P
-        np.subtract(v[1:], v[:-1], out=du)
+        np.subtract(v_r, v_l, out=du)
         np.divide(du, h, out=du)
-        np.subtract(du[1:], du[:-1], out=d2[1:-1])
+        np.subtract(du_r, du_l, out=d2_in)
         np.abs(d2, out=ad2)
-        np.less_equal(ad2[:-1], ad2[1:], out=pick)
+        np.less_equal(ad2_l, ad2_r, out=pick)
         # np.where's temporary beats a masked multiply into c
-        np.multiply(np.where(pick, d2[:-1], d2[1:]), 0.5, out=c)
-        np.add(du[:-1], c[:-1], out=P[0])
-        np.subtract(du[1:], c[1:], out=P[1])
+        np.multiply(np.where(pick, d2_l, d2_r), 0.5, out=c)
+        np.add(du_l, c_l, out=p_minus)
+        np.subtract(du_r, c_r, out=p_plus)
 
-    def euler(v, dt):
+    def euler(v_in, dt):
         # u1 = v - dt Hhat(p-, p+) at the interior nodes, from the slopes
         # in P; np.interp holds H constant beyond the table: the slope clamp
-        np.maximum(P[0], pstar, out=P[0])
-        np.minimum(P[1], pstar, out=P[1])
-        flux = np.interp(P, ps, Hv)
-        f = np.maximum(flux[0], flux[1], out=flux[0])
+        np.maximum(p_minus, pstar, out=p_minus)
+        np.minimum(p_plus, pstar, out=p_plus)
+        f, g = np.interp(P, ps, Hv)
+        np.maximum(f, g, out=f)
         f *= dt
-        np.subtract(v[1:-1], f, out=u1[1:-1])
+        np.subtract(v_in, f, out=u1_in)
 
-    u = np.full(n + 2, float(grid.A))
-    project(u)
-    fields = []
-    t = 0.0
-    steps, dt_min, dt_max = 0, math.inf, 0.0
-    targets = list(grid.snapshots)
-    if grid.dt is not None:
+    sweep = sweep_beta is not None
+    if sweep:
+        ramp, work = sweep_beta * h * np.arange(n + 2), np.empty(n + 2)
+        u_ends, u1_ends = (u, u[::-1]), (u1, u1[::-1])
+        _project(u_ends, ramp, work)
+    if dt_fixed is not None:
         max_speed = float(np.max(np.abs(tab.slopes)))
-        if grid.dt * max_speed / h > 1.0 + 1e-12:
+        if dt_fixed * max_speed / h > 1.0 + 1e-12:
             raise CFLViolation(
-                f"dt={grid.dt} violates dt*max|H'|/h <= 1 "
+                f"dt={dt_fixed} violates dt*max|H'|/h <= 1 "
                 f"(max|H'|={max_speed:.3g}, h={h:.3g})")
-    while targets:
-        slopes(u)
-        if grid.dt is not None:
-            dt = grid.dt
-        else:
+    fields, t = [], 0.0
+    steps, clamped, dt_min, dt_max = 0, 0, math.inf, 0.0
+    for target in grid.snapshots:
+        tol = 1e-12 * max(1.0, target)
+        while True:
+            slopes(u_r, u_l)
+            lo, hi = float(P.min()), float(P.max())
+            clamped += lo < p_lo or hi > p_hi
             # H' is monotone, so the extreme slopes carry the top speed
-            speed = tab.speed(float(P.min()), float(P.max()))
-            dt = _CFL * h / max(speed, 1e-12)
-        dt = min(dt, targets[0] - t)
-        # Heun (TVD-RK2): two Euler stages, then the average
-        euler(u, dt)
-        project(u1)
-        slopes(u1)
-        euler(u1, dt)
-        u += u1
-        u *= 0.5
-        project(u)
-        t += dt
-        steps += 1
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        if abs(t - targets[0]) <= 1e-12 * max(1.0, targets[0]):
-            t = targets[0]
-            fields.append(Field(x=grid.x.copy(), t=t, values=u.copy()))
-            targets.pop(0)
+            dt = min(dt_fixed or _CFL * h / max(tab.speed(lo, hi), 1e-12),
+                     target - t)
+            # Heun (TVD-RK2): two Euler stages, then the average
+            euler(u_in, dt)
+            if sweep:
+                _project(u1_ends, ramp, work)
+            slopes(u1_r, u1_l)
+            euler(u1_in, dt)
+            u += u1
+            u *= 0.5
+            if sweep:
+                _project(u_ends, ramp, work)
+            t += dt
+            steps += 1
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+            if abs(t - target) <= tol:
+                break
+        t = target
+        fields.append(Field(x=grid.x, t=t, values=u.copy()))
     return fields, {"steps": steps, "dt_min": float(dt_min),
-                    "dt_max": float(dt_max)}
+                    "dt_max": float(dt_max), "clamped_steps": clamped,
+                    "march_s": time.perf_counter() - start}
 
 
-def _lipschitz_sweep(u, ramp, work):
-    """Min-plus projection onto the cone of beta-Lipschitz grid functions:
-    u_j <- min_k u_k + beta h |j - k|, one cumulative minimum per side, in
-    place; ramp holds beta h j and work is scratch of the length of u."""
-    for v in (u, u[::-1]):
+def _project(ends, ramp, work):
+    """Zero the boundary entries of u, then project it onto the cone of
+    beta-Lipschitz grid functions by min-plus: u_j <- min_k u_k + beta h
+    |j - k|, one cumulative minimum per side, in place on ends = (u,
+    u[::-1]); ramp holds beta h j and work is scratch of the length of u."""
+    ends[0][0] = ends[0][-1] = 0.0
+    for v in ends:
         np.subtract(v, ramp, out=work)
         np.minimum.accumulate(work, out=work)
         np.add(ramp, work, out=v)
@@ -215,6 +240,7 @@ def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
     """March the second-order scheme; H must be finite on the slope range
     the data implies.  Critical Hamiltonians (bounded domain) are refused here:
     the constant-A initial data generates slopes A/h far beyond dom H."""
+    start = time.perf_counter()
     lo, hi = h.domain
     t_first = grid.snapshots[0]
     need = grid.A / grid.h
@@ -239,15 +265,17 @@ def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
         caps[side] = side * core, side * full
     (core_max, pmax), (core_min, pmin) = caps[+1.0], caps[-1.0]
     tab = HTable(h, _table_knots(pmin, pmax, core_min, core_max))
+    table_s = time.perf_counter() - start
     fields, stats = _march(tab, grid)
     return FieldHistory(fields=fields, meta={
         "scheme": "eno2-godunov-heun", "n": grid.n, "A": grid.A,
-        "p_min": pmin, "p_max": pmax, **stats})
+        "p_min": pmin, "p_max": pmax, "table_s": table_s, **stats})
 
 
 def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
         -> FieldHistory:
     """Gradient-constrained evolution for critical Hamiltonians."""
+    start = time.perf_counter()
     if beta0 <= 0:
         raise ValidationError("beta0 must be positive")
     edge = _inner_domain((-beta0, beta0))[1]
@@ -260,10 +288,12 @@ def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
     pmax = first_reach(h, +1.0, edge, (0,), lambda H: np.abs(H) >= value_cap)
     pmin = max(-pmax, _inner_domain(h.domain)[0])
     tab = HTable(h, np.linspace(pmin, pmax, _TABLE_SIZE))
+    table_s = time.perf_counter() - start
     fields, stats = _march(tab, grid, sweep_beta=beta0)
     return FieldHistory(fields=fields, meta={
         "scheme": "eno2-godunov-heun+lipschitz", "n": grid.n, "A": grid.A,
-        "beta0": beta0, "p_min": pmin, "p_max": pmax, **stats})
+        "beta0": beta0, "p_min": pmin, "p_max": pmax, "table_s": table_s,
+        **stats})
 
 
 def lax_oleinik_field(L, grid: HJGrid, t) -> Field:

@@ -281,12 +281,13 @@ def _radial_kernel(family, dimension, params, log_j, s, support_radius,
 
 
 def scaled_kernel(kernel, c):
-    """Return the kernel with density multiplied by a constant c > 0.
+    """Return the kernel with density multiplied by a finite constant c > 0
+    (ValidationError otherwise).
 
     Scaling does not change the tail class: for intermediate kernels the
     shift of -ln J by ln c is O(1/|y|) in omega and is ignored.
     """
-    _require(c > 0, "scale factor must be positive")
+    _require(0 < c < math.inf, "scale factor must be finite and positive")
     lc = math.log(c)
     return replace(
         kernel,

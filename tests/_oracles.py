@@ -20,9 +20,14 @@ below the oracle's, not above it.
 
 dense_nonlocal_solution is the space-discrete nonlocal equation solved by
 a dense matrix exponential, the reference for a solver exact in time.
+
+hj_scheme_march is the ENO2-Godunov-Heun scheme for u_t + H(u_x) = 0 on
+(-1, 1), written node by node in plain Python floats, the reference for
+the array march of the HJ solvers.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -161,3 +166,94 @@ def dense_nonlocal_solution(density, reach, R, T, h, L, A_diff, B_drift,
                 gen[j, n] += r * (pads[0] if i < 0 else pads[1])
             gen[j, j] -= r
     return x, (expm(T * gen) @ np.append(start, 1.0))[:n]
+
+
+def hj_scheme_march(ps, Hv, n, A, snapshots, beta=None, cfl=0.9):
+    """The ENO2-Godunov-Heun march of u_t + H(u_x) = 0 on the n interior
+    nodes of (-1, 1), u = A inside and 0 on the boundary at t = 0, one node
+    at a time.  H is the piecewise-linear interpolant of the table (ps, Hv),
+    held constant beyond it.
+
+    - ENO2 slopes: with D_j = (u_{j+1} - u_j) / h and S_j = D_j - D_{j-1}
+      (S = 0 at the two boundary nodes), p- = D_{i-1} + S/2 and
+      p+ = D_i - S'/2, S and S' the smaller in magnitude (the left one on
+      a tie) of (S_{i-1}, S_i) and (S_i, S_{i+1});
+    - Godunov flux max(H(max(p-, p*)), H(min(p+, p*))), p* the knot of
+      least H;
+    - Heun: two Euler stages and their average; with beta, the
+      beta-Lipschitz projection (boundary set to 0, then a running minimum
+      of u_k + beta h |j - k| from each side) after the first stage and
+      after the average, and once on the initial data;
+    - dt = cfl h / max|H'| over the two table cells holding the smallest
+      and the largest slope of the first stage (the cell of p ends at the
+      first knot >= p), cut to land on each snapshot.
+
+    Returns the values at the snapshot times (lists of n + 2 floats) and
+    the number of Heun steps.
+    """
+    ps, Hv = [float(p) for p in ps], [float(v) for v in Hv]
+    h = 2.0 / (n + 1)
+    m = len(ps)
+    pstar = ps[min(range(m), key=lambda k: (Hv[k], k))]
+    cell_speed = [abs((Hv[k + 1] - Hv[k]) / (ps[k + 1] - ps[k]))
+                  for k in range(m - 1)]
+
+    def H(p):
+        if p <= ps[0]:
+            return Hv[0]
+        if p >= ps[-1]:
+            return Hv[-1]
+        k = bisect_right(ps, p) - 1
+        slope = (Hv[k + 1] - Hv[k]) / (ps[k + 1] - ps[k])
+        return slope * (p - ps[k]) + Hv[k]
+
+    def speed(p):
+        return cell_speed[min(max(bisect_left(ps, p) - 1, 0), m - 2)]
+
+    def slopes(v):
+        D = [(v[j + 1] - v[j]) / h for j in range(n + 1)]
+        S = [0.0] + [D[j] - D[j - 1] for j in range(1, n + 1)] + [0.0]
+
+        def half_smaller(j):        # of S_j and S_{j+1}
+            return 0.5 * (S[j] if abs(S[j]) <= abs(S[j + 1]) else S[j + 1])
+        return [(D[i - 1] + half_smaller(i - 1), D[i] - half_smaller(i))
+                for i in range(1, n + 1)]
+
+    def euler(v, pairs, dt):
+        out = [0.0] * (n + 2)
+        for i, (pm, pp) in enumerate(pairs, start=1):
+            flux = max(H(max(pm, pstar)), H(min(pp, pstar)))
+            out[i] = v[i] - flux * dt
+        return out
+
+    def project(v):
+        if beta is None:
+            return v
+        v = [0.0] + v[1:-1] + [0.0]
+        for order in (range(n + 2), range(n + 1, -1, -1)):
+            low = math.inf
+            for k, j in enumerate(order):
+                ramp = beta * h * k
+                low = min(low, v[j] - ramp)
+                v[j] = ramp + low
+        return v
+
+    u = project([0.0] + [float(A)] * n + [0.0])
+    t, steps, out = 0.0, 0, []
+    for target in sorted(snapshots):
+        while True:
+            pairs = slopes(u)
+            flat = [p for pair in pairs for p in pair]
+            dt = cfl * h / max(max(speed(min(flat)), speed(max(flat))),
+                               1e-12)
+            dt = min(dt, target - t)
+            u1 = project(euler(u, pairs, dt))
+            u2 = euler(u1, slopes(u1), dt)
+            u = project([(a + b) * 0.5 for a, b in zip(u, u2)])
+            t += dt
+            steps += 1
+            if abs(t - target) <= 1e-12 * max(1.0, target):
+                break
+        t = target
+        out.append(u)
+    return out, steps

@@ -82,6 +82,15 @@ def test_k_transform_gaussian_tail(gaussian_tail_kernel):
     assert res.value == pytest.approx(6.25, rel=1e-6)
 
 
+@pytest.mark.parametrize("dimension, p", [(1, [3.0, 4.0]), (1, [[5.0]]),
+                                          (1, []), (2, 5.0)])
+def test_k_transform_rejects_a_p_of_another_dimension(dimension, p):
+    # on the 1-D kernel |(3, 4)| = 5 gave K(5) = 6.25
+    kernel = build_kernel("exp_power", dimension, {"alpha": 2.0})
+    with pytest.raises(ValidationError):
+        k_transform(kernel, p)
+
+
 def test_k_transform_rejects_critical_and_asymmetric(critical_kernel,
                                                      demo_kernel):
     with pytest.raises(UnsupportedKernel):

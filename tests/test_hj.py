@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import ldp.hj
+from _oracles import hj_scheme_march
 from ldp import (CFLViolation, DomainViolation, Hamiltonian, HJGrid,
                  Lagrangian, ValidationError, lax_oleinik_field, solve_hj,
                  solve_hj_constrained)
+from ldp.hamiltonian import HTable
 
 
 def quadratic_h():
@@ -153,3 +156,76 @@ def test_lax_oleinik_field_matches_pointwise():
 def test_grid_rejects_non_finite_and_empty_values(kwargs):
     with pytest.raises(ValidationError):
         HJGrid(**{**dict(n=9, T=1.0, A=1.0), **kwargs})
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The H tables the solvers build, in order."""
+    made = []
+
+    class Recorded(HTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+    monkeypatch.setattr(ldp.hj, "HTable", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("case", ["quadratic", "compact", "critical"])
+def test_march_matches_the_node_by_node_scheme(case, compact_h, critical_h,
+                                               tables):
+    if case == "critical":
+        grid = HJGrid(n=49, T=0.5, A=10.0, snapshots=[0.01, 0.5])
+        hist, beta = solve_hj_constrained(critical_h, 1.0, grid), 1.0
+    else:
+        grid = HJGrid(n=49, T=0.5, A=3.0, snapshots=[0.25, 0.5])
+        h = quadratic_h() if case == "quadratic" else compact_h
+        hist, beta = solve_hj(h, grid), None
+    tab, = tables
+    ref, steps = hj_scheme_march(tab.ps, tab.Hv, grid.n, grid.A,
+                                 grid.snapshots, beta=beta)
+    assert hist.meta["steps"] == steps
+    for f, values in zip(hist.fields, ref):
+        assert np.max(np.abs(f.values - np.array(values))) <= 1e-12
+
+
+def test_one_interp_per_euler_stage(monkeypatch):
+    calls = []
+
+    def interp(*args, _np_interp=np.interp):
+        calls.append(args[0].shape)
+        return _np_interp(*args)
+    monkeypatch.setattr(np, "interp", interp)
+    hist = solve_hj(quadratic_h(), HJGrid(n=49, T=0.5, A=3.0))
+    assert len(calls) == 2 * hist.meta["steps"]
+    assert set(calls) == {(2, 49)}
+
+
+def test_clamped_steps_count_the_steps_past_the_table(monkeypatch):
+    ends = []
+
+    def speed(self, lo, hi, _speed=HTable.speed):
+        ends.append((self.ps[0], self.ps[-1], lo, hi))
+        return _speed(self, lo, hi)
+    monkeypatch.setattr(HTable, "speed", speed)
+    # the initial jump has slope A / h = 1000, past the table's edge
+    meta = solve_hj(quadratic_h(), HJGrid(n=199, T=0.5, A=10.0)).meta
+    assert len(ends) == meta["steps"]
+    assert 0 < meta["clamped_steps"] <= meta["steps"]
+    assert meta["clamped_steps"] == sum(lo < p_lo or hi > p_hi
+                                        for p_lo, p_hi, lo, hi in ends)
+    assert meta["table_s"] > 0 and meta["march_s"] > 0
+
+
+def test_fields_share_one_read_only_grid(quad_solution, critical_h):
+    hist, grid = quad_solution
+    x = hist.fields[0].x
+    assert not x.flags.writeable
+    assert all(f.x is x for f in hist.fields)
+    assert grid.x is x and HJGrid(n=199, T=2.0, A=1.0).x is x
+    assert np.array_equal(x, np.linspace(-1.0, 1.0, 201))
+    assert lax_oleinik_field(Lagrangian(quadratic_h()), grid, 0.5).x is x
+    con = solve_hj_constrained(critical_h, 1.0, HJGrid(
+        n=49, T=0.5, A=2.0, snapshots=[0.25, 0.5]))
+    assert all(f.x is con.fields[0].x for f in con.fields)
+    assert not con.fields[0].x.flags.writeable

@@ -89,6 +89,13 @@ def test_scaled_kernel_scales_density(compact_kernel):
     assert levy_integral(k2) == pytest.approx(0.25 / 3, rel=1e-9)
 
 
+@pytest.mark.parametrize("c", [math.inf, math.nan, 0.0, -1.0])
+def test_scaled_kernel_requires_a_finite_positive_factor(compact_kernel, c):
+    # an infinite c made a kernel of infinite mass whose H failed later
+    with pytest.raises(ValidationError):
+        scaled_kernel(compact_kernel, c)
+
+
 def test_tail_reach(compact_kernel, demo_kernel):
     assert tail_reach(compact_kernel) == pytest.approx(1.0)
     # exponential left tail: J(y) = 0.5 e^{-|y|} falls below tol at ln(0.5/tol)
