@@ -12,8 +12,9 @@ never reaches q the supremum is attained at the domain edge, taken as
 the engine's inner edge (`ldp.hamiltonian._inner_domain`, which owns the
 margin).  Each iteration makes one engine call for all active q, of both
 signs (the engine splits the batch by sign), so a result depends on
-nothing but its q.  A radial H in 2-D is solved the same way along the
-ray of q; an asymmetric one by a damped Newton iteration per point.
+nothing but its q.  A radial H in 2-D is solved so along the ray of q,
+any other by one trust-region Newton iteration over the batch (Conn,
+Gould & Toint, Trust-Region Methods, 2000).
 
 K(p) = sup_y { p.y - |y| omega(y) } with omega(y) = -ln J(y) / |y|.  For
 compact kernels the log-weight is flat on the support at the scale that
@@ -184,21 +185,77 @@ def _solve(h: Hamiltonian, qs):
     return p * qs - Hv, p, resid, it, hit
 
 
+def _norm(v):
+    """|v| of every row of v, free of overflow in the squares."""
+    return np.hypot.reduce(v, axis=1)
+
+
+def _newton(h: Hamiltonian, qs):
+    """sup_p (p.q - H(p)) for every row of the (m, N) array qs, for an H
+    that is not radial: Newton from p = 0, one `h.derivatives` call per
+    iteration for the rows whose g = q - DH(p) still has |g| > 1e-9 (1 +
+    |q|).  Steps are cut to a trust radius per row, doubled after each
+    step forward; a row whose last step d passed the maximiser along it by
+    more than it started short (g.d < -g0.d; objective values stop changing
+    at rounding and are never compared) goes back half of d instead, and
+    its radius falls to half of d.  A p past the inner edge |p| = R is
+    projected onto it; on the edge, where g points out along u = p / |p|,
+    g is its tangential part and (g.u / R) I, the edge's curvature, joins
+    D^2 H."""
+    m, N = qs.shape
+    lo, hi = _inner_domain(h.domain)
+    R = min(-lo, hi) * (1 - 4 * np.finfo(float).eps)   # |p| stays within
+    p, resid, slope = np.zeros((m, N)), np.zeros(m), np.zeros(m)
+    it, hit = np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
+    i, Q, T = np.arange(m), qs, 1e-9 * (1.0 + _norm(qs))
+    P, d, radius = p.copy(), p.copy(), np.ones(m)
+    for n in range(1, _MAX_ITER + 1):
+        G, C = h.derivatives(P)
+        g = Q - G
+        gap, r = _norm(g), _norm(P)
+        u = P / np.where(r > 0, r, 1.0)[:, None]
+        # the outward part of g on the edge
+        w = np.maximum(np.einsum("ij,ij->i", g, u), 0) * (r >= R * (1 - 1e-12))
+        g -= w[:, None] * u
+        done = _norm(g) <= T
+        if done.any():
+            j = i[done]
+            p[j], resid[j], it[j], hit[j] = P[done], gap[done], n, w[done] > 0
+            i, Q, T, P, d, slope, radius, g, C, u, w = (v[~done] for v in (
+                i, Q, T, P, d, slope, radius, g, C, u, w))
+        if not i.size:
+            break
+        back = np.einsum("ij,ij->i", g, d) < -slope
+        C += (w / R)[:, None, None] * np.eye(N)
+        s = np.linalg.solve(C, g[..., None])[..., 0]
+        s -= ((w > 0) * np.einsum("ij,ij->i", s, u))[:, None] * u
+        radius = np.where(back, 0.5 * _norm(d), 2.0 * radius)
+        s *= np.minimum(1.0, radius / _norm(s))[:, None]
+        pn = P + np.where(back[:, None], -0.5 * d, s)
+        rn = _norm(pn)
+        on = (rn > R) | (w > 0)
+        pn[on] *= (R / rn[on])[:, None]
+        slope = np.where(back, 0.5 * slope, np.einsum("ij,ij->i", g, pn - P))
+        d, P = np.where(back[:, None], 0.5 * d, pn - P), pn
+    else:
+        raise NonConvergence(
+            f"conjugate solve did not converge for q={Q[0]}")
+    (Hv,) = h.derivatives(p, (0,))
+    return np.einsum("ij,ij->i", p, qs) - Hv, p, resid, it, hit
+
+
 def _conjugate(h: Hamiltonian, qs) -> ConjugateResult:
     """L at every row of the (m, N) array qs of finite points."""
     if h.dimension == 1:
         value, p, resid, it, hit = _solve(h, qs[:, 0])
         return ConjugateResult(value, p[:, None], resid, it, hit)
     if h.symmetric:
-        qr = np.linalg.norm(qs, axis=1)
+        qr = _norm(qs)
         qhat = qs / np.where(qr > 0, qr, 1.0)[:, None]
         qhat[qr == 0] = np.eye(h.dimension)[0]     # any ray for q = 0
         value, r, resid, it, hit = _solve(h, qr)
         return ConjugateResult(value, r[:, None] * qhat, resid, it, hit)
-    res = [_conjugate_nd(h, q) for q in qs]
-    return ConjugateResult(*(np.array([getattr(r, f) for r in res]) for f in
-                             ("value", "argmax", "residual", "iterations",
-                              "hit_domain_boundary")))
+    return ConjugateResult(*_newton(h, qs))
 
 
 def conjugate(h: Hamiltonian, q) -> ConjugateResult:
@@ -210,52 +267,6 @@ def conjugate(h: Hamiltonian, q) -> ConjugateResult:
     # one point: Python scalars, and argmax an (N,) array
     return ConjugateResult(*(v[0] if v.ndim > 1 else v[0].item() for v in
                              vars(res).values())) if one else res
-
-
-def _conjugate_nd(h: Hamiltonian, q):
-    """Damped Newton from p = 0 for small N (asymmetric Hamiltonians)."""
-    N = h.dimension
-    p = np.zeros(N)
-    plo, phi = _inner_domain(h.domain)
-
-    def phi_obj(p):
-        return float(np.dot(p, q)) - float(h.value(p))
-
-    it = 0
-    for _ in range(_MAX_ITER):
-        it += 1
-        g = q - np.asarray(h.grad(p))
-        tol = 1e-9 * (1.0 + float(np.linalg.norm(q)))
-        if np.linalg.norm(g) <= tol:
-            return ConjugateResult(
-                value=phi_obj(p), argmax=p, residual=float(np.linalg.norm(g)),
-                iterations=it, hit_domain_boundary=False)
-        # Hessian from quadratic forms
-        Hm = np.zeros((N, N))
-        basis = np.eye(N)
-        for i in range(N):
-            Hm[i, i] = h.hess_quadform(p, basis[i])
-        for i in range(N):
-            for j in range(i + 1, N):
-                mixed = h.hess_quadform(
-                    p, (basis[i] + basis[j]) / math.sqrt(2))
-                Hm[i, j] = Hm[j, i] = mixed - 0.5 * (Hm[i, i] + Hm[j, j])
-        try:
-            step = np.linalg.solve(Hm, g)
-        except np.linalg.LinAlgError:
-            step = g
-        lam = 1.0
-        base = phi_obj(p)
-        for _ in range(60):
-            pn = p + lam * step
-            if np.linalg.norm(pn) > min(phi, -plo):
-                lam *= 0.5
-                continue
-            if phi_obj(pn) >= base:
-                break
-            lam *= 0.5
-        p = p + lam * step
-    raise NonConvergence("N-dimensional conjugate solve did not converge")
 
 
 class Lagrangian:

@@ -30,11 +30,12 @@ The engine owns the margin kept from a finite edge of the domain of H:
 `_inner_domain` pulls each edge in to edge (1 - _DOMAIN_MARGIN), the
 engine refuses any p beyond it, and the L solves and HJ tables of the
 other modules stop on it.  eval_batch is the batched entry point, over
-p in 1-D and over the radii |p| of a radial H in 2-D.  The scalar
+p in 1-D and over the radii |p| of a radial H in 2-D;
+`Hamiltonian.derivatives` gives H, DH and D^2 H at an (m, N) array of
+points from one engine call over their radii |p|.  The scalar
 operations, in both dimensions, check their point, make one engine call
-for a batch of one at r = p (1-D) or r = |p| (2-D), and add the local
-terms <A p, p> + B . p, 2 A p + B and 2 <A nu, nu>; HTable tabulates H
-in one call.
+for a batch of one at r = p (1-D) or r = |p| (2-D; D^2 H through
+_derivatives) and add the local terms; HTable tabulates H in one call.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class HamiltonianParams:
     # near-origin split radius, set from the kernel
     delta_split: float = field(init=False)
     # H(p) depends on |p| alone: a symmetric kernel (or none), A = a I
-    # and B = 0; set from the fields above
+    # and B = 0 exactly; set from the fields above
     symmetric: bool = field(init=False, repr=False, compare=False)
     # quadrature rules of the engine, by p-range rung (see _rung)
     _rules: dict = field(default_factory=dict, init=False, repr=False,
@@ -102,9 +103,8 @@ class HamiltonianParams:
             self.delta_split = 1e-3
         else:
             self.delta_split = min(k.rho0 / 2, 0.5)
-        self.symmetric = ((k is None or k.symmetric)
-                          and np.allclose(self.B, 0.0)
-                          and np.allclose(self.A, self.A[0, 0] * np.eye(N)))
+        self.symmetric = ((k is None or k.symmetric) and not self.B.any()
+                          and (self.A == self.A[0, 0] * np.eye(N)).all())
 
     @property
     def dimension(self):
@@ -125,18 +125,6 @@ def _inner_domain(domain):
     _DOMAIN_MARGIN), so that no p closer to an edge than that is taken."""
     lo, hi = domain
     return lo * (1 - _DOMAIN_MARGIN), hi * (1 - _DOMAIN_MARGIN)
-
-
-def _check_domain(kernel, ps):
-    """Every p of the array ps (radii |p| in 2-D) inside the domain of H,
-    short of its edges by the margin, or DomainViolation."""
-    lo, hi = _domain_interval(kernel)
-    plo, phi = _inner_domain((lo, hi))
-    name = "|p|" if kernel.dimension == 2 else "p"
-    if phi < math.inf and ps.max() > phi:
-        raise DomainViolation(f"{name}={ps.max()} above domain bound {hi}")
-    if plo > -math.inf and ps.min() < plo:
-        raise DomainViolation(f"{name}={ps.min()} below domain bound {lo}")
 
 
 def _as_point(params, v, name="p"):
@@ -341,11 +329,8 @@ def eval_batch(params: HamiltonianParams, ps, moments=(0,),
     if params.dimension != 1 and not (params.symmetric and np.all(ps >= 0)):
         raise ValidationError("in 2-D the batched evaluator takes radii "
                               "|p| >= 0 of a radial H")
-    if ps.size == 0 or k is None:
-        out = np.zeros((len(moments), ps.size))
-    else:
-        _check_domain(k, ps)
-        out = _jump_moments(params, ps, moments, essential)
+    out = (_jumps(params, ps[:, None], moments, essential)[1] if ps.size
+           else np.zeros((len(moments), 0)))
     a, b = float(params.A[0, 0]), float(params.B[0])
     if not essential and (a or b):
         local = {0: (a * ps + b) * ps, 1: 2 * a * ps + b, 2: 2 * a}
@@ -354,25 +339,59 @@ def eval_batch(params: HamiltonianParams, ps, moments=(0,),
     return out
 
 
-def _jumps_at(params, p, moments, essential=False):
-    """r = p in 1-D or |p| in 2-D, and the jump integrals of `moments` at
-    r, a batch of one, for a point p checked by _as_point (hypot: the
-    squares of |p| < 1e-154 would lose digits to subnormals)."""
+def _jumps(params, P, moments, essential=False):
+    """r = p at every row of the (m, 1) array P or r = |p| of an (m, 2) one
+    (hypot: squares of |p| < 1e-154 lose digits to subnormals) and the
+    jump integrals of `moments` at r, (len(moments), m); zeros without a
+    kernel, and DomainViolation for an r past the inner domain."""
+    r = P[:, 0] if P.shape[1] == 1 else np.hypot(P[:, 0], P[:, 1])
     k = params.kernel
-    r = float(p[0]) if params.dimension == 1 else math.hypot(*p)
     if k is None:
-        return r, np.zeros(len(moments))
+        return r, np.zeros((len(moments), r.size))
     if not k.symmetric and k.dimension == 2:
         raise ValidationError("2-D evaluation requires a radial kernel")
-    ps = np.array([r])
-    _check_domain(k, ps)
-    return r, _jump_moments(params, ps, moments, essential)[:, 0]
+    lo, hi = k.p_domain
+    plo, phi = _inner_domain((lo, hi))
+    name = "|p|" if k.dimension == 2 else "p"
+    if phi < math.inf and r.max() > phi:
+        raise DomainViolation(f"{name}={r.max()} above domain bound {hi}")
+    if plo > -math.inf and r.min() < plo:
+        raise DomainViolation(f"{name}={r.min()} below domain bound {lo}")
+    return r, _jump_moments(params, r, moments, essential)
+
+
+def _derivatives(params, P, moments):
+    """H (moment 0), DH (1) and D^2 H (2) at every row of the (m, N) array
+    P, as arrays (m,), (m, N) and (m, N, N): one engine call, plus the
+    local terms.  In 2-D, with u = p / |p|, DH = |DH| u and D^2 H = 2 A +
+    H_perp I + (H_par - H_perp) u u^T: across p the curvature is pi int r^3
+    J (I_0 - I_2) = |DH| / |p| (I_0 - I_2 = 2 I_1 / x), within O(|p|^2) of
+    H_par, which it is taken to be below |p| = 1e-100 (where I_1 loses its
+    digits to subnormals)."""
+    N = P.shape[1]
+    # in 2-D the curvature across p reads |DH|
+    need = sorted(set(moments) | ({1} if N == 2 and 2 in moments else set()))
+    r, J = _jumps(params, P, need)
+    J = dict(zip(need, J))
+    u = np.ones_like(P) if N == 1 else P / np.where(r > 0, r, 1.0)[:, None]
+    A, B, out = params.A, params.B, []
+    for m in moments:
+        if m == 0:
+            out.append(J[0] + ((P @ A.T + B) * P).sum(axis=1))
+        elif m == 1:
+            out.append(2.0 * P @ A.T + B + J[1][:, None] * u)
+        else:
+            perp = J[2] if N == 1 else np.where(
+                r > 1e-100, J[1] / np.maximum(r, 1e-100), J[2])
+            out.append(2.0 * A + perp[:, None, None] * np.eye(N) + (
+                (J[2] - perp)[:, None] * u)[:, :, None] * u[:, None, :])
+    return out
 
 
 def eval_h(params: HamiltonianParams, p):
     """H(p)."""
     p = _as_point(params, p)
-    (jump,) = _jumps_at(params, p, (0,))[1]
+    ((jump,),) = _jumps(params, p[None], (0,))[1]
     return float(p @ (params.A @ p + params.B)) + float(jump)
 
 
@@ -390,14 +409,14 @@ def eval_h_ess(params: HamiltonianParams, p, moment=0):
     if moment == 1 and k.dimension != 1:
         raise ValidationError("essential gradient is 1-D only")
     p = _as_point(params, p)
-    return float(_jumps_at(params, p, (moment,), essential=True)[1][0])
+    return float(_jumps(params, p[None], (moment,), essential=True)[1][0, 0])
 
 
 def grad_h(params: HamiltonianParams, p):
     """DH(p) as an (N,) array: 2 A p + B, plus the jump part, which is H'
     itself in 1-D and |DH| along p / |p| in 2-D."""
     p = _as_point(params, p)
-    r, (mag,) = _jumps_at(params, p, (1,))
+    r, ((mag,),) = _jumps(params, p[None], (1,))
     lin = 2.0 * params.A @ p + params.B
     if params.dimension == 1:
         return lin + mag
@@ -405,24 +424,13 @@ def grad_h(params: HamiltonianParams, p):
 
 
 def hess_quadform(params: HamiltonianParams, p, nu):
-    """<D^2 H(p) nu, nu> for a direction nu: 2 <A nu, nu> plus the jump
-    part."""
+    """<D^2 H(p) nu, nu> for a direction nu, in 2-D from _derivatives."""
     p = _as_point(params, p)
     nu = _as_point(params, nu, "nu")
-    quad_part = float(2.0 * nu @ params.A @ nu)
     if params.dimension == 1:
-        (t_par,) = _jumps_at(params, p, (2,))[1]
-        return quad_part + float(nu[0] ** 2 * t_par)
-    r, (mag, t_par) = _jumps_at(params, p, (1, 2))
-    # across p the curvature is pi int r^3 J (I_0 - I_2), and
-    # I_0(x) - I_2(x) = (2 / x) I_1(x) makes it |DH| / |p|; it differs from
-    # the curvature along p by O(|p|^2), so below |p| = 1e-100 (where I_1
-    # would lose its digits to subnormals) the two are equal
-    if r <= 1e-100:
-        return quad_part + float(nu @ nu) * t_par
-    c_par = float(nu @ p) / r
-    c_perp2 = float(nu @ nu) - c_par**2
-    return quad_part + c_par**2 * t_par + max(c_perp2, 0.0) * mag / r
+        ((t_par,),) = _jumps(params, p[None], (2,))[1]
+        return float(2.0 * nu @ params.A @ nu) + float(nu[0] ** 2 * t_par)
+    return float(nu @ _derivatives(params, p[None], (2,))[0][0] @ nu)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +440,8 @@ def hess_quadform(params: HamiltonianParams, p, nu):
 @dataclass
 class Hamiltonian:
     """Callable bundle (value, gradient, Hessian quadratic form) together
-    with the finiteness domain, used by every consumer of H."""
+    with the finiteness domain, used by every consumer of H.  An H given by
+    callables keeps hess(p) = D^2 H(p): a number in 1-D, else (N, N)."""
     value: Callable
     grad: Callable
     hess_quadform: Callable
@@ -441,6 +450,7 @@ class Hamiltonian:
     symmetric: bool = True
     kernel: Optional[Kernel] = None
     params: Optional[HamiltonianParams] = None
+    hess: Optional[Callable] = None
 
     @classmethod
     def from_params(cls, params: HamiltonianParams):
@@ -466,14 +476,11 @@ class Hamiltonian:
     @classmethod
     def from_callables(cls, value, grad, hess, dimension=1,
                        domain=(-math.inf, math.inf), symmetric=True):
-        return cls(value=value, grad=grad,
-                   hess_quadform=lambda p, nu, _h=hess:
-                       float(np.atleast_1d(nu)[0])**2 * _h(p)
-                       if dimension == 1 else hess(p, nu),
+        def quadform(p, nu):
+            nu = np.atleast_1d(nu)
+            return float(nu @ np.reshape(hess(p), (dimension,) * 2) @ nu)
+        return cls(value=value, grad=grad, hess_quadform=quadform, hess=hess,
                    dimension=dimension, domain=domain, symmetric=symmetric)
-
-    def grad_1d(self, p):
-        return float(np.atleast_1d(self.grad(p))[0])
 
     def batch(self, ps, moments=(0,)):
         """eval_batch for this H; given by callables, it loops over them."""
@@ -481,11 +488,24 @@ class Hamiltonian:
             return eval_batch(self.params, ps, moments)
         if self.dimension != 1:
             raise ValidationError("the batched evaluator is one-dimensional")
-        scalar = {0: lambda p: float(self.value(p)), 1: self.grad_1d,
-                  2: lambda p: float(self.hess_quadform(p, 1.0))}
         ps = np.asarray(ps, dtype=float).ravel()
-        return np.array([[scalar[m](p) for p in ps] for m in moments]
-                        ).reshape(len(moments), ps.size)
+        return np.array([d.reshape(ps.size) for d in self.derivatives(
+            ps, moments)]).reshape(len(moments), ps.size)
+
+    def derivatives(self, P, moments=(1, 2)):
+        """H (moment 0), DH (1) and D^2 H (2) at every row of the (m, N)
+        array P, as arrays (m,), (m, N) and (m, N, N), from one engine
+        call; given by callables, it loops over them (p a number in 1-D)."""
+        N = self.dimension
+        P = np.asarray(P, dtype=float).reshape(-1, N)
+        if not np.isfinite(P).all():
+            raise ValidationError("p must be finite")
+        if self.params is not None:
+            return _derivatives(self.params, P, moments)
+        f, ps = {0: self.value, 1: self.grad, 2: self.hess}, (
+            P[:, 0].tolist() if N == 1 else P)
+        return [np.array([f[m](p) for p in ps], dtype=float).reshape(
+            len(P), *(N,) * m) for m in moments]
 
 
 class HTable:

@@ -48,8 +48,8 @@ run; solve_hj_constrained treats
     max(u_t + H(u_x); |u_x| - beta0) = 0
 
 by projecting slopes into (-beta0, beta0) and enforcing the beta0-Lipschitz
-bound with a min-plus sweep after the first stage and after the average,
-which also installs the correct initial trace min(A, beta0 dist(x)).
+bound with a min-plus sweep on the initial data and after each Heun
+average, which installs the correct initial trace min(A, beta0 dist(x)).
 
 Both solvers report the march in FieldHistory.meta: `steps` (Heun
 steps), `dt_min` and `dt_max`; `clamped_steps`, the steps whose extreme
@@ -183,7 +183,7 @@ def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
     sweep = sweep_beta is not None
     if sweep:
         ramp, work = sweep_beta * h * np.arange(n + 2), np.empty(n + 2)
-        u_ends, u1_ends = (u, u[::-1]), (u1, u1[::-1])
+        u_ends = (u, u[::-1])
         _project(u_ends, ramp, work)
     if dt_fixed is not None:
         max_speed = float(np.max(np.abs(tab.slopes)))
@@ -204,8 +204,6 @@ def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
                      target - t)
             # Heun (TVD-RK2): two Euler stages, then the average
             euler(u_in, dt)
-            if sweep:
-                _project(u1_ends, ramp, work)
             slopes(u1_r, u1_l)
             euler(u1_in, dt)
             u += u1
@@ -276,8 +274,8 @@ def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
         -> FieldHistory:
     """Gradient-constrained evolution for critical Hamiltonians."""
     start = time.perf_counter()
-    if beta0 <= 0:
-        raise ValidationError("beta0 must be positive")
+    if not 0 < beta0 < math.inf:
+        raise ValidationError("beta0 must be positive and finite")
     edge = _inner_domain((-beta0, beta0))[1]
     t_first = grid.snapshots[0]
     # Clamp slopes well inside dom H.  The working cap keeps H(p_cap)

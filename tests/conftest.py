@@ -64,6 +64,6 @@ def anisotropic_drifted_h():
     h = Hamiltonian.from_callables(
         value=lambda p: float(p @ A @ p + B @ p),
         grad=lambda p: 2.0 * A @ p + B,
-        hess=lambda p, nu: float(2.0 * nu @ A @ nu),
+        hess=lambda p: 2.0 * A,
         dimension=2, symmetric=False)
     return h, A, B

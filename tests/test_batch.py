@@ -211,7 +211,7 @@ def test_scalar_operations_are_batches_of_one():
     p = 0.37
     got = eval_batch(h.params, [p], (0, 1, 2))[:, 0]
     assert h.value(p) == got[0]
-    assert h.grad_1d(p) == got[1]
+    assert h.grad(p)[0] == got[1]
     assert h.hess_quadform(p, 2.0) == 4.0 * got[2]
 
 

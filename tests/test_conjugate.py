@@ -39,7 +39,7 @@ def test_lagrangian_slope_inverts_gradient(compact_h):
     L = Lagrangian(compact_h)
     for q in [0.5, 3.0, 40.0]:
         p0 = float(L.slope(q)[0])
-        assert compact_h.grad_1d(p0) == pytest.approx(q, rel=1e-7)
+        assert compact_h.grad(p0)[0] == pytest.approx(q, rel=1e-7)
 
 
 def test_lagrangian_nonnegative_zero_at_zero(compact_h):
@@ -188,7 +188,7 @@ def test_k_inverse_roundtrip(gaussian_tail_kernel):
 
 
 def test_asymmetric_2d_conjugate_matches_closed_form(anisotropic_drifted_h):
-    # a drift and an anisotropic A make H asymmetric: the N-D Newton solve
+    # a drift and an anisotropic A make H asymmetric: the batched Newton
     h, A, B = anisotropic_drifted_h
     for q in ([0.0, 0.0], [1.0, -2.0], [-3.0, 0.5], [2.5, 4.0]):
         d = np.array(q) - B
@@ -197,6 +197,100 @@ def test_asymmetric_2d_conjugate_matches_closed_form(anisotropic_drifted_h):
             0.25 * d @ np.linalg.solve(A, d), rel=0.0, abs=1e-12)
         np.testing.assert_allclose(res.argmax, 0.5 * np.linalg.solve(A, d),
                                    rtol=0.0, atol=1e-12)
+
+
+_SHIFTED = {"exp_power_2d": build_kernel("exp_power", 2, {"alpha": 2.0}),
+            "compact_2d": build_kernel("compact_uniform", 2, {"rho": 1.0})}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIFTED))
+@settings(max_examples=25, deadline=None)
+@given(b=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       q=st.tuples(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0)),
+       a=st.sampled_from([0.0, 0.5]))
+def test_drifted_conjugate_is_the_shifted_radial_one(name, b, q, a):
+    # with A = a I, H(p) = H_0(p) + B.p, so L(q) = L_0(q - B) with the same
+    # maximiser, L_0 solved along the ray of q - B
+    k, A, B, q = _SHIFTED[name], a * np.eye(2), np.array(b), np.array(q)
+    res = conjugate(Hamiltonian.from_kernel(k, A=A, B=B), q)
+    ref = conjugate(Hamiltonian.from_kernel(k, A=A), q - B)
+    assert not res.hit_domain_boundary
+    assert res.value == pytest.approx(ref.value, rel=1e-12, abs=1e-14)
+    # |q - DH(p)| <= 1e-9 (1 + |q|) with D^2 H >= I / 4 on both kernels
+    np.testing.assert_allclose(res.argmax, ref.argmax, rtol=0.0,
+                               atol=4e-9 * (1.0 + np.linalg.norm(q)))
+
+
+def test_a_tiny_drift_is_not_dropped():
+    # |B| < 1e-8 once passed for B = 0, and L(q) came out as L_0(q)
+    k = _SHIFTED["exp_power_2d"]
+    B = np.array([0.0, 5e-9])
+    h = Hamiltonian.from_kernel(k, B=B)
+    assert not h.symmetric
+    qs = np.array([[0.0, 1.0], [1.5, -2.0], [-3.0, 0.5]])
+    np.testing.assert_allclose(
+        Lagrangian(h)(qs), Lagrangian(Hamiltonian.from_kernel(k))(qs - B),
+        rtol=0.0, atol=1e-12)
+
+
+def test_drifted_solve_past_the_edge_ends_on_the_inner_edge():
+    # tempered alpha = 1.5: DH stays finite up to |p| = lam = 2, and these
+    # q lie past it, so the supremum sits on the edge, in the direction of
+    # q - B
+    k = build_kernel("tempered_stable", 2, {"alpha": 1.5, "lam": 2.0})
+    B = np.array([0.3, -0.2])
+    h = Hamiltonian.from_kernel(k, B=B)
+    edge = hamiltonian._inner_domain(h.domain)[1]
+    for q, ref in (([50.0, 10.0], 93.0541816703),
+                   ([500.0, 0.0], 990.981594317)):
+        res = conjugate(h, q)
+        shifted = conjugate(Hamiltonian.from_kernel(k), np.array(q) - B)
+        assert res.hit_domain_boundary and shifted.hit_domain_boundary
+        assert res.value == pytest.approx(shifted.value, rel=1e-8, abs=0)
+        assert res.value == pytest.approx(ref, rel=1e-11, abs=0)
+        assert edge * (1 - 1e-15) <= np.linalg.norm(res.argmax) <= edge
+        # the engine takes the maximiser it returns
+        h.value(res.argmax)
+
+
+@pytest.mark.parametrize("q", [[1e200, 0.0], [3e160, -4e160]])
+def test_huge_q_keeps_its_norm(q):
+    # |q|^2 overflows: the norms of q and of q - DH(p) are taken without
+    # squares, on the radial path and in the Newton iteration alike
+    k, B = _SHIFTED["compact_2d"], np.array([0.5, -0.3])
+    res = conjugate(Hamiltonian.from_kernel(k, B=B), q)
+    ref = conjugate(Hamiltonian.from_kernel(k), np.array(q) - B)
+    assert math.isfinite(ref.value) and ref.value > 1e160
+    assert res.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+
+
+def test_newton_makes_one_derivatives_call_per_iteration(monkeypatch):
+    calls, engine = [], []
+    derivatives, jump_moments = (Hamiltonian.derivatives,
+                                 hamiltonian._jump_moments)
+
+    def spy(self, P, moments=(1, 2)):
+        calls.append((len(P), moments))
+        return derivatives(self, P, moments)
+
+    def engine_spy(params, ps, moments, essential):
+        engine.append(tuple(moments))
+        return jump_moments(params, ps, moments, essential)
+
+    monkeypatch.setattr(Hamiltonian, "derivatives", spy)
+    monkeypatch.setattr(hamiltonian, "_jump_moments", engine_spy)
+    h = Hamiltonian.from_kernel(build_kernel("exp_power", 2, {"alpha": 2.0}),
+                                B=[0.5, -0.3])
+    qs = np.array([[0.0, 0.0], [1.0, 0.2], [-3.0, 4.0], [6.0, -1.0],
+                   [0.5, -0.3]])
+    res = conjugate(h, qs)
+    # the iterations on the active rows, then H at the maximisers
+    assert calls[-1] == (len(qs), (0,))
+    rows = [n for n, moments in calls[:-1]]
+    assert {moments for n, moments in calls[:-1]} == {(1, 2)}
+    assert len(rows) == res.iterations.max() and rows[0] == len(qs)
+    assert sum(rows) == res.iterations.sum()
+    assert engine == [(1, 2)] * len(rows) + [(0,)]
 
 
 @pytest.mark.parametrize("dim,q", [(1, 2.0), (2, [1.5, 0.5])])

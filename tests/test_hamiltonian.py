@@ -74,7 +74,7 @@ def test_hessian_quadform_pure_quadratic():
 def test_gradient_matches_finite_difference(compact_h):
     p, eps = 1.2, 1e-6
     fd = (compact_h.value(p + eps) - compact_h.value(p - eps)) / (2 * eps)
-    assert compact_h.grad_1d(p) == pytest.approx(fd, rel=1e-7)
+    assert compact_h.grad(p)[0] == pytest.approx(fd, rel=1e-7)
 
 
 def test_h_ess_values(compact_kernel, critical_kernel):

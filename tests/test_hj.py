@@ -229,3 +229,10 @@ def test_fields_share_one_read_only_grid(quad_solution, critical_h):
         n=49, T=0.5, A=2.0, snapshots=[0.25, 0.5]))
     assert all(f.x is con.fields[0].x for f in con.fields)
     assert not con.fields[0].x.flags.writeable
+
+
+@pytest.mark.parametrize("beta0", [math.nan, math.inf, -math.inf, 0.0])
+def test_constrained_solver_rejects_a_bad_beta0(critical_h, beta0):
+    # nan and inf once failed inside H with "p must be finite"
+    with pytest.raises(ValidationError, match="beta0"):
+        solve_hj_constrained(critical_h, beta0, HJGrid(n=49, T=0.5, A=1.0))

@@ -2,7 +2,9 @@
 split by sign and keyed to a quadrature rule (`_jump_moments`, `_rung`)
 and the margin kept from a finite edge of the domain of H
 (`_DOMAIN_MARGIN`, which other modules reach through `_inner_domain`).
-No other module of the package names them."""
+No other module of the package names them.  Every L solve of
+`ldp.conjugate` reaches H through its batched calls, `h.batch` and
+`h.derivatives`, never through a scalar one."""
 
 import ast
 from pathlib import Path
@@ -41,3 +43,14 @@ def test_engine_decisions_stay_in_hamiltonian():
                 seen.add(name)
     # the guard reads the names it guards
     assert seen == _ENGINE
+
+
+def test_conjugate_makes_no_scalar_h_call():
+    scalar = {"value", "grad", "grad_1d", "hess_quadform"}
+    tree = ast.parse((_SRC / "conjugate.py").read_text())
+    called = [(node.lineno, node.func.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)]
+    assert not [c for c in called if c[1] in scalar]
+    # the guard sees the batched calls it allows
+    assert {"batch", "derivatives"} <= {name for _, name in called}

@@ -111,3 +111,18 @@ def test_asymmetric_2d_rate_matches_angular_brute_force(
         assert res.value == pytest.approx(brute, rel=0.0, abs=1e-9)
         y = res.minimizing_boundary_point
         assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("B,x,t,ref", [
+    ((0.1, 0.0), (0.0, 0.0), 1.0, 0.248463055),
+    ((0.1, 0.0), (0.2, 0.1), 0.5, 0.385954937),
+    ((0.1, 0.0), (0.5, 0.0), 1.0, 0.112618456),
+    ((0.5, -0.3), (0.0, 0.0), 1.0, 0.054851877),
+    ((0.5, -0.3), (0.2, 0.1), 0.5, 0.323513362),
+    ((0.5, -0.3), (0.5, 0.0), 1.0, 0.152386398)])
+def test_drifted_2d_rate_matches_the_shifted_reference(B, x, t, ref):
+    # references: min over the boundary angle of t L_0((x - y)/t - B), L_0
+    # the radial conjugate, on 4,096 angles refined by bounded Brent
+    k = build_kernel("exp_power", 2, {"alpha": 2.0})
+    res = rate_iinf(Lagrangian(Hamiltonian.from_kernel(k, B=B)), x, t)
+    assert res.value == pytest.approx(ref, rel=0.0, abs=1e-8)
