@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (BelowRange, NonConvergence, UnsupportedKernel,
                      ValidationError)
@@ -67,21 +66,23 @@ def _points(v, N, name):
     return v.reshape(-1, N), one
 
 
-def _step_back(h: Hamiltonian, p, pn):
-    """The bracketing steps p -> pn of a batch that overflowed, each
-    halved back towards its p while H overflows at its end (64 times at
-    most), and H' there."""
-    G = np.empty(pn.size)
-    for j in range(pn.size):
+def _step_back(f, p, pn):
+    """The steps p -> pn of a batch that overflowed, each halved back in
+    place towards its p while H overflows at its end (64 times at most):
+    f (an engine call) at each end alone, and the fraction of each step
+    kept."""
+    out, kept = [], np.ones(len(pn))
+    for j in range(len(pn)):
         for _ in range(64):
             try:
-                G[j] = h.batch(pn[j:j + 1], (1,))[0, 0]
+                out.append(f(pn[j:j + 1]))
                 break
             except NonConvergence:
                 pn[j] = 0.5 * (p[j] + pn[j])
+                kept[j] *= 0.5
         else:
-            G[j] = h.batch(pn[j:j + 1], (1,))[0, 0]
-    return pn, G
+            out.append(f(pn[j:j + 1]))
+    return out, kept
 
 
 def _solve(h: Hamiltonian, qs):
@@ -96,11 +97,20 @@ def _solve(h: Hamiltonian, qs):
     p, resid = np.full(m, p0), np.zeros(m)
     it, hit = np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
     a, b = np.empty(m), np.empty(m)
-    # --- bracket the root of g where p0 does not solve g = 0: towards a
+    # --- where |g0| <= 1e-10 the engine resolves H' too coarsely for a
+    # stop relative to g0 (its absolute error is about 1e-17 near p0, and
+    # H' reads 0 below p = 1e-16 for some kernels), while the tangent at
+    # p0 is exact to O(g0^2): its root p0 + g0 / H''(p0) is the maximiser
+    far = np.abs(g0) > 1e-10
+    lin = ~far & (g0 != 0)
+    if lin.any():
+        c0 = h.batch([p0], (2,))[0, 0]
+        p[lin] = np.clip(p0 + g0[lin] / c0 if c0 > 0 else p0, plo, phi)
+    # --- bracket the root of g where neither solves g = 0: towards a
     # finite edge by halving the distance to it (onto it after 40
     # halvings), else by doubling steps.  pi is the last point short of
     # the root; the edge is hit when pi comes within 1e-13 of it.
-    i = np.flatnonzero(g0)
+    i = np.flatnonzero(far)
     s = np.sign(g0[i])
     edge = np.where(s > 0, phi, plo)
     fin = np.isfinite(edge)
@@ -117,7 +127,8 @@ def _solve(h: Hamiltonian, qs):
         try:
             G = h.batch(pn, (1,))[0]
         except NonConvergence:
-            pn, G = _step_back(h, pi, pn)
+            G = np.concatenate(_step_back(lambda x: h.batch(x, (1,))[0], pi,
+                                          pn)[0])
         done = cross = s * (Q - G) <= 0
         if fin.any():
             done = cross | (np.abs(edge - pn) < close)
@@ -133,10 +144,11 @@ def _solve(h: Hamiltonian, qs):
     # never crossed: the supremum lies on the domain edge
     it[i], hit[i] = _MAX_ITER, True
     p[hit] = np.where(g0[hit] > 0, phi, plo)
-    # --- safeguarded Newton inside [a, b] ---------------------------------
-    i = np.flatnonzero(~hit & (g0 != 0))
+    # --- safeguarded Newton inside [a, b], to |g| <= 1e-10, or 1e-12 |q|
+    # for large q, or 1e-4 |g0| near the root of g at p0 -----------------
+    i = np.flatnonzero(far & ~hit)
     A, B, Q, kb = a[i], b[i], qs[i], it[i]
-    T = np.maximum(1e-10, 1e-12 * np.abs(Q))
+    T = np.maximum(np.minimum(1e-10, 1e-4 * np.abs(g0[i])), 1e-12 * np.abs(Q))
     P = 0.5 * (A + B)
     G, C = h.batch(P, (1, 2))
     G = Q - G
@@ -174,14 +186,15 @@ def _solve(h: Hamiltonian, qs):
     else:
         raise NonConvergence(
             f"conjugate solve did not converge for q={Q[0]}")
-    # --- the value at the maximiser, H' too at the edge for the residual --
+    # --- the value at the maximiser, H' too for the residual at the edge
+    # and at the tangent's root ------------------------------------------
     Hv = np.empty(m)
-    inner = ~hit
-    if inner.any():
-        Hv[inner] = h.batch(p[inner], (0,))[0]
-    if hit.any():
-        Hv[hit], G = h.batch(p[hit], (0, 1))
-        resid[hit] = np.abs(qs[hit] - G)
+    other = hit | lin
+    if not other.all():
+        Hv[~other] = h.batch(p[~other], (0,))[0]
+    if other.any():
+        Hv[other], G = h.batch(p[other], (0, 1))
+        resid[other] = np.abs(qs[other] - G)
     return p * qs - Hv, p, resid, it, hit
 
 
@@ -201,16 +214,24 @@ def _newton(h: Hamiltonian, qs):
     its radius falls to half of d.  A p past the inner edge |p| = R is
     projected onto it; on the edge, where g points out along u = p / |p|,
     g is its tangential part and (g.u / R) I, the edge's curvature, joins
-    D^2 H."""
+    D^2 H.  A step to where H overflows is halved back from its start P0,
+    as often as it takes, and the radius falls to half of what is kept."""
     m, N = qs.shape
     lo, hi = _inner_domain(h.domain)
     R = min(-lo, hi) * (1 - 4 * np.finfo(float).eps)   # |p| stays within
     p, resid, slope = np.zeros((m, N)), np.zeros(m), np.zeros(m)
     it, hit = np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
     i, Q, T = np.arange(m), qs, 1e-9 * (1.0 + _norm(qs))
-    P, d, radius = p.copy(), p.copy(), np.ones(m)
+    P, P0, d, radius = p.copy(), p.copy(), p.copy(), np.ones(m)
     for n in range(1, _MAX_ITER + 1):
-        G, C = h.derivatives(P)
+        try:
+            G, C = h.derivatives(P)
+        except NonConvergence:
+            out, kept = _step_back(h.derivatives, P0, P)
+            G, C = (np.concatenate(v) for v in zip(*out))
+            d *= kept[:, None]
+            slope *= kept
+            radius = np.where(kept < 1, 0.5 * _norm(P - P0), radius)
         g = Q - G
         gap, r = _norm(g), _norm(P)
         u = P / np.where(r > 0, r, 1.0)[:, None]
@@ -221,8 +242,9 @@ def _newton(h: Hamiltonian, qs):
         if done.any():
             j = i[done]
             p[j], resid[j], it[j], hit[j] = P[done], gap[done], n, w[done] > 0
-            i, Q, T, P, d, slope, radius, g, C, u, w = (v[~done] for v in (
-                i, Q, T, P, d, slope, radius, g, C, u, w))
+            i, Q, T, P, P0, d, slope, radius, g, C, u, w = (
+                v[~done] for v in (i, Q, T, P, P0, d, slope, radius, g, C, u,
+                                   w))
         if not i.size:
             break
         back = np.einsum("ij,ij->i", g, d) < -slope
@@ -236,7 +258,7 @@ def _newton(h: Hamiltonian, qs):
         on = (rn > R) | (w > 0)
         pn[on] *= (R / rn[on])[:, None]
         slope = np.where(back, 0.5 * slope, np.einsum("ij,ij->i", g, pn - P))
-        d, P = np.where(back[:, None], 0.5 * d, pn - P), pn
+        d, P0, P = np.where(back[:, None], 0.5 * d, pn - P), P, pn
     else:
         raise NonConvergence(
             f"conjugate solve did not converge for q={Q[0]}")
@@ -294,10 +316,75 @@ class Lagrangian:
 # K-transform
 # ---------------------------------------------------------------------------
 
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _brent(f, a, b):
+    """min of f over [a, b] by Brent's bounded minimisation (Algorithms for
+    Minimization without Derivatives, 1973, ch. 5), step for step as
+    scipy.optimize.minimize_scalar(method="bounded", options={"xatol":
+    1e-13}): the same parabolic and golden steps, the tolerance tol =
+    sqrt(2.2e-16) |x| + 1e-13 / 3 and the stop once [a, b] shrinks to 2 tol
+    about x or after 500 calls of f.  x is the best point, w the next
+    best, v the one before; d is the last step and e the one before it.
+    Returns x, f(x) and the calls of f."""
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    n = 1
+    while n < 500:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + 1e-13 / 3.0
+        tol2 = 2.0 * tol1
+        if not abs(x - xm) > tol2 - 0.5 * (b - a):
+            break
+        golden = True
+        if abs(e) > tol1:
+            # the parabola through x, w and v, taken if its step lands
+            # inside (a, b) and is under half the step before last
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if golden:
+            e = (a if x >= xm else b) - x
+            d = _GOLDEN * e
+        u = x + max(abs(d), tol1) if d >= 0 else x - max(abs(d), tol1)
+        fu = f(u)
+        n += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx, n
+
+
 def _ray_min(f):
     """Bounded Brent minimisation of f over r > 0 along a ray, for an f
     that falls and then rises: the bracket (0, 2 hi) doubles hi from 1
-    until f rises from hi to 2 hi.  f is never evaluated at r = 0."""
+    until f rises from hi to 2 hi.  f is never evaluated at r = 0.
+    Returns the minimiser, the minimum and the calls of f in _brent."""
     hi, f_hi = 1.0, f(1.0)
     for _ in range(200):
         f_2hi = f(2 * hi)
@@ -306,8 +393,7 @@ def _ray_min(f):
         hi, f_hi = 2 * hi, f_2hi
     else:
         raise NonConvergence("no bracket for the minimum along the ray")
-    return minimize_scalar(f, bounds=(0.0, 2 * hi), method="bounded",
-                           options={"xatol": 1e-13})
+    return _brent(f, 0.0, 2 * hi)
 
 
 def k_transform(kernel, p) -> ConjugateResult:
@@ -338,16 +424,16 @@ def k_transform(kernel, p) -> ConjugateResult:
     def neg_phi(r):
         return -(pr * r + float(logj(r)))
 
-    res = _ray_min(neg_phi)
-    val = max(0.0, -res.fun)  # phi(0+) -> ln J(0) <= 0 handled by K >= 0
-    r0 = float(res.x) if -res.fun >= 0 else 0.0
+    x, fun, calls = _ray_min(neg_phi)
+    val = max(0.0, -fun)  # phi(0+) -> ln J(0) <= 0 handled by K >= 0
+    r0 = float(x) if -fun >= 0 else 0.0
     # report residual as the geometric optimality gap
     eps = 1e-7 * max(1.0, r0)
     resid = max(0.0, -neg_phi(r0) -
                 max(-neg_phi(r0 + eps), -neg_phi(max(r0 - eps, 0.0))))
     return ConjugateResult(
         value=val, argmax=r0 * phat, residual=abs(resid),
-        iterations=int(getattr(res, "nit", 0) or 0),
+        iterations=calls,
         hit_domain_boundary=False)
 
 
@@ -371,4 +457,4 @@ def k_inverse(kernel, z):
     logj = kernel.log_j
     if z <= float(logj(0.0)):
         return 0.0
-    return float(_ray_min(lambda y: (z - float(logj(y))) / y).fun)
+    return float(_ray_min(lambda y: (z - float(logj(y))) / y)[1])

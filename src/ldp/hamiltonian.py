@@ -46,15 +46,22 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-# nothing here calls quad: perfbench/tracing.py wraps this name to count
-# the adaptive quadrature calls of this layer
-from scipy.integrate import quad  # noqa: F401
 from scipy.special import i0e, i1e
 
 from .errors import DomainViolation, NonConvergence, ValidationError
 from .kernels import _FAR, _U_MIN, Kernel, _ray_rule, _rays
 
 _DOMAIN_MARGIN = 1e-6
+
+
+def __getattr__(name):
+    """Module attributes made on first read (PEP 562): only `quad`."""
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # nothing here calls quad: perfbench/tracing.py wraps this name to count
+    # the adaptive quadrature calls of this layer (ROADMAP item 2 deletes both)
+    from scipy.integrate import quad
+    return quad
 
 
 @dataclass
@@ -360,9 +367,10 @@ def _jumps(params, P, moments, essential=False):
     return r, _jump_moments(params, r, moments, essential)
 
 
-def _derivatives(params, P, moments):
+def _derivatives(params, P, moments, nu=None):
     """H (moment 0), DH (1) and D^2 H (2) at every row of the (m, N) array
-    P, as arrays (m,), (m, N) and (m, N, N): one engine call, plus the
+    P, as arrays (m,), (m, N) and (m, N, N), or for a direction nu the
+    forms <D^2 H nu, nu> (m,) in place of D^2 H: one engine call, plus the
     local terms.  In 2-D, with u = p / |p|, DH = |DH| u and D^2 H = 2 A +
     H_perp I + (H_par - H_perp) u u^T: across p the curvature is pi int r^3
     J (I_0 - I_2) = |DH| / |p| (I_0 - I_2 = 2 I_1 / x), within O(|p|^2) of
@@ -383,8 +391,13 @@ def _derivatives(params, P, moments):
         else:
             perp = J[2] if N == 1 else np.where(
                 r > 1e-100, J[1] / np.maximum(r, 1e-100), J[2])
-            out.append(2.0 * A + perp[:, None, None] * np.eye(N) + (
-                (J[2] - perp)[:, None] * u)[:, :, None] * u[:, None, :])
+            if nu is not None:
+                along = u @ nu
+                out.append(2.0 * (nu @ A @ nu) + perp * (nu @ nu)
+                           + (J[2] - perp) * along * along)
+            else:
+                out.append(2.0 * A + perp[:, None, None] * np.eye(N) + (
+                    (J[2] - perp)[:, None] * u)[:, :, None] * u[:, None, :])
     return out
 
 
@@ -430,7 +443,7 @@ def hess_quadform(params: HamiltonianParams, p, nu):
     if params.dimension == 1:
         ((t_par,),) = _jumps(params, p[None], (2,))[1]
         return float(2.0 * nu @ params.A @ nu) + float(nu[0] ** 2 * t_par)
-    return float(nu @ _derivatives(params, p[None], (2,))[0][0] @ nu)
+    return float(_derivatives(params, p[None], (2,), nu)[0][0])
 
 
 # ---------------------------------------------------------------------------

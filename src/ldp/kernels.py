@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import NonConvergence, ValidationError
 
@@ -211,9 +210,9 @@ def build_kernel(family, dimension=1, params=None, rho0=None):
         alpha = float(params["alpha"])
         _require(alpha > 1.0, "exp_power requires alpha > 1")
         if dimension == 1:
-            mass = 2 * _gamma(1 + 1 / alpha)
+            mass = 2 * math.gamma(1 + 1 / alpha)
         else:
-            mass = 2 * math.pi * _gamma(2 / alpha) / alpha
+            mass = 2 * math.pi * math.gamma(2 / alpha) / alpha
         return _radial_kernel(family, dimension, params,
                               lambda t: -np.abs(t) ** alpha,
                               s=0.0, support_radius=math.inf,

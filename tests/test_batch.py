@@ -276,6 +276,24 @@ def test_radial_values_invariant_under_rotation(name):
 
 
 @pytest.mark.parametrize("name", sorted(_H2))
+def test_hess_quadform_is_the_form_of_the_hessian(name):
+    # the scalar form is taken without assembling D^2 H; it is the same
+    # curvature as the (m, N, N) Hessian gives, with A and B, at p = 0 and
+    # below |p| = 1e-100
+    k, rng = _H2[name].kernel, np.random.default_rng(11)
+    for A, B in ((None, None), ([[1.0, 0.2], [0.2, 0.5]], [0.3, -0.1])):
+        h = Hamiltonian.from_kernel(k, A=A, B=B)
+        ps = [np.zeros(2), np.array([1e-120, -2e-121])] + [
+            r * np.array([math.cos(a), math.sin(a)]) for r, a in zip(
+                _radius_cap(name) * rng.random(6), rng.uniform(0, 7, 6))]
+        for p in ps:
+            nu = rng.normal(size=2)
+            (hess,) = h.derivatives(p, (2,))
+            assert h.hess_quadform(p, nu) == pytest.approx(
+                nu @ hess[0] @ nu, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("name", sorted(_H2))
 def test_radial_values_at_p_zero(name):
     h = _H2[name]
     k, zero = h.kernel, np.zeros(2)

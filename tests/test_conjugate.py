@@ -1,16 +1,20 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from ldp import (BelowRange, Hamiltonian, Lagrangian, UnsupportedKernel,
                  ValidationError, build_kernel, conjugate, k_inverse,
-                 k_transform, lax_oleinik, rate_iinf, scaled_kernel)
+                 k_transform, lax_oleinik, predict_log_bound, rate_iinf,
+                 scaled_kernel)
 from ldp import hamiltonian
+
+_conjugate = importlib.import_module("ldp.conjugate")
 
 
 def quadratic_h():
@@ -155,6 +159,40 @@ def test_k_inverse_cost():
             assert len(calls) <= 60, (family, z, len(calls))
 
 
+def test_brent_takes_the_steps_of_scipys_bounded_method(monkeypatch):
+    # every minimisation that K, K^{-1} and predict_log_bound make is run
+    # by scipy's method="bounded" as well: the same points of f in the same
+    # order, and bitwise the same minimiser and minimum
+    brent, runs = _conjugate._brent, []
+
+    def both(f, a, b):
+        mine, theirs = [], []
+        x, fun, calls = brent(lambda r: mine.append(r) or f(r), a, b)
+        ref = minimize_scalar(lambda r: theirs.append(r) or f(r),
+                              bounds=(a, b), method="bounded",
+                              options={"xatol": 1e-13})
+        runs.append((mine == theirs, calls == ref.nfev == len(mine),
+                     float(x).hex() == float(ref.x).hex(),
+                     float(fun).hex() == float(ref.fun).hex()))
+        return x, fun, calls
+
+    monkeypatch.setattr(_conjugate, "_brent", both)
+    for family, alpha in _INTERMEDIATE:
+        for dim in (1, 2):
+            for c in (1.0, 0.3, 5.0):
+                k = _intermediate_kernel(family, alpha, dim, c)
+                for z in (0.5, 1.0, 1.6, 4.0, 10.0, 37.0, 100.0):
+                    k_inverse(k, z)
+                for R in (12.0, 25.0, 40.0):
+                    for theta in (0.0, 0.3):
+                        for t in (0.3, 1.5):
+                            predict_log_bound(k, R, theta, t)
+                for p in (0.3, 2.0, 7.0):
+                    k_transform(k, np.eye(dim)[0] * p)
+    assert len(runs) > 400
+    assert all(all(run) for run in runs)
+
+
 def test_k_inverse_below_range(compact_kernel):
     with pytest.raises(BelowRange):
         k_inverse(compact_kernel, -1.0)
@@ -264,6 +302,18 @@ def test_huge_q_keeps_its_norm(q):
     assert res.value == pytest.approx(ref.value, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("q", [[1e250, 1.0], [-3e200, 4e200], [1e300, 1e300]])
+def test_newton_backs_off_where_h_overflows(q):
+    # H grows like e^{|p|^2/4}: the doubling trust radius steps past
+    # |p| = 53, where H overflows, and each such step is halved back
+    k, B = _SHIFTED["exp_power_2d"], np.array([0.5, -0.3])
+    res = conjugate(Hamiltonian.from_kernel(k, B=B), q)
+    ref = conjugate(Hamiltonian.from_kernel(k), np.array(q) - B)
+    assert not res.hit_domain_boundary and ref.value > 1e200
+    assert res.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+    assert res.residual <= 1e-9 * (1.0 + math.hypot(*q))
+
+
 def test_newton_makes_one_derivatives_call_per_iteration(monkeypatch):
     calls, engine = [], []
     derivatives, jump_moments = (Hamiltonian.derivatives,
@@ -370,6 +420,27 @@ def test_batch_backs_off_where_h_overflows():
         assert batch.value[i] == pytest.approx(one.value, rel=1e-12, abs=0)
         assert batch.residual[i] <= 1e-12 * abs(q) + 1e-10
     assert batch.argmax[1, 0] > 45.0
+
+
+@pytest.mark.parametrize("family,params", [
+    ("exp_power", {"alpha": 2.0}), ("exp_power", {"alpha": 1.5}),
+    ("super_exp", {}), ("exp_linear", {"alpha": 1.0})])
+def test_l_near_zero_scales_with_q(family, params):
+    # L(q) ~ q^2 / (2 H''(0)) with maximiser q / H''(0) as q -> 0.  An
+    # absolute stop |q - H'(p)| <= 1e-10 once gave exp_power alpha = 2 the
+    # same argmax 3.1e-13 and L = -4.4e-26 for every |q| <= 1e-30
+    h = Hamiltonian.from_kernel(build_kernel(family, 1, params))
+    c0 = float(h.batch([0.0], (2,))[0, 0])
+    qs = np.array([1e-300, 1e-30, 1e-16, 1e-12, 1e-10, 2e-10, 1e-8, 1e-6])
+    qs = np.concatenate([qs, -qs])
+    res = Lagrangian(h).result(qs)
+    assert (res.value >= 0.0).all()
+    np.testing.assert_allclose(res.argmax[:, 0] * c0 / qs, 1.0, rtol=2e-4)
+    # the scalar path agrees
+    for q in (1e-30, -2e-10):
+        one = conjugate(h, q)
+        assert one.value >= 0.0
+        assert one.argmax[0] * c0 / q == pytest.approx(1.0, rel=2e-4)
 
 
 @pytest.mark.parametrize("family,dim,params", [
