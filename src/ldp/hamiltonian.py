@@ -21,10 +21,46 @@ the scalar calls of one octave share one rule.  A symmetric kernel
 takes p < 0 at -p, on the rule of -p.  Singular kernels take y = u^2
 near the origin.  Integrands are formed as exp(p y + ln J(y)), so huge
 exponential factors against tiny densities never overflow, and p is
-processed in chunks.  For a radial kernel in 2-D the same panels cover
-the radii r > 0 and the angular integral gives Bessel factors (I_0 - 1
-for H, I_1 for |DH|, I_0 + I_2 for the curvature along p), formed as
-the scaled I_n(|p| r) e^{-|p| r} times exp(|p| r + ln J(r)).
+processed in chunks.  In 1-D, H and H' integrate J (e^{py} - 1 - p y)
+and y J (e^{py} - 1), the first by its series where |p y| < 0.1 and the
+second by expm1 there, and add p and 1 times the rule's first moment of
+J beyond the compensator, which is 0 for a symmetric kernel: there
+H'(0) = 0, H >= 0, and H' stays proportional to p down to the smallest
+p.
+
+For a radial kernel in 2-D the same panels cover the radii r > 0, and the
+angular integral gives Bessel factors of x = |p| r: J (I_0 - 1) for H,
+r J I_1 = |p| r^2 J I_1(x)/x for |DH|, r^2 J (I_0 - I_1/x) (that is
+r^2 J (I_0 + I_2) / 2, free of cancellation) for the curvature along p,
+and J I_0 for H^ess.  J (I_0 - 1) and J I_1/x come from their power
+series in t = x^2/4 (Abramowitz & Stegun 9.6.10) for x <= X_s, and from
+the Hankel expansions (A&S 9.7.1), I_nu(x) = e^x (2 pi x)^{-1/2}
+(sum_{k<m} (-1)^k a_k(nu) x^{-k} + R_m), times J as exp(x + ln J), above.
+X_s and both term counts come from one truncation bound: each truncated
+sum is within u = 2^{-53} of its function, relative.
+
+* Hankel: |R_m| <= 2 chi(m) e^{|nu^2 - 1/4|/x} |a_m(nu)| x^{-m} + e^{-2x}
+  (a bound of Olver's form, DLMF 10.40, plus the exponentially small
+  second half of I_nu), chi(m) = pi^{1/2} Gamma(m/2 + 1) / Gamma(m/2 +
+  1/2).  X_s = 19 is the smallest integer at which it falls below u for
+  nu = 0 and 1; there m = 35 terms.
+* Power series: the terms of I_0 (coefficients 1/(k!)^2) and of 2 I_1/x
+  (1/(k! (k+1)!)) fall by t/(K+1)^2 or less after the K-th, so the tail
+  is at most the first term dropped over 1 - t/(K+1)^2; its ratio to the
+  sum grows with x, and at X_s it falls below u with K = 33 terms.
+
+Rounding leaves J I_0, J (I_0 - 1) and J I_1/x within 6 ulp of their
+values at x = |p| r for J = 1 (tests/test_bessel.py), except where J (I_0
+- 1) comes within a few times of the smallest normal float and (r/2s)^2
+goes subnormal; above X_s the rounding of x + ln J in exp(x + ln J) adds
+to it, as it always has.  The
+radii are fixed per rule, so each 2-D rule keeps two tables:
+c_k (r/2s)^{2k} J(r) for all radii, and (r/s)^{-k-1/2} for the radii
+where some x may pass X_s, with s a power of 2 near X_s over the rule's
+top |p|.  A chunk of |p| gets J (I_0 - 1) and J I_1/x for every moment
+from one product of the powers (|p| s)^{2k} with the first table, and
+runs the Hankel product with the second only on the radii where some
+x > X_s.
 
 The engine owns the margin kept from a finite edge of the domain of H:
 `_inner_domain` pulls each edge in to edge (1 - _DOMAIN_MARGIN), the
@@ -46,7 +82,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import i0e, i1e
 
 from .errors import DomainViolation, NonConvergence, ValidationError
 from .kernels import _FAR, _U_MIN, Kernel, _ray_rule, _rays
@@ -153,11 +188,53 @@ _RULES_KEPT = 32        # rules cached per HamiltonianParams, oldest dropped
 #                         (one 1-D L solve visits 2-5 rungs, one batched
 #                         solve over 801 q of both signs 3-13)
 _CHUNK = 1 << 12        # float64 entries per temporary (32 KB)
-# 1/k! for k = 13 .. 2: Horner coefficients of e^x - 1 - x
-_EXPM1MX = [1.0 / math.factorial(k) for k in range(13, 1, -1)]
-# 1/(k!)^2 for k = 8 .. 1: Horner coefficients of (I_0(x) - 1) / t in
-# t = x^2 / 4, used below x = 0.5 (the first term dropped is below 1e-20)
-_I0M1 = [1.0 / math.factorial(k) ** 2 for k in range(8, 0, -1)]
+# e^x - 1 - x = x^2 sum_k x^k / (k + 2)!, k < 12, for |x| < 0.1 (the first
+# term dropped is below 1e-20 of the sum)
+_EXPM1MX = np.array([1.0 / math.factorial(k + 2) for k in range(12)])
+# Bessel factors of the 2-D engine; X_s and the term counts follow from
+# the truncation bound in the module docstring (tests/test_bessel.py
+# recomputes them)
+_X_SWITCH = 19.0
+_SERIES_TERMS = 33
+_HANKEL_TERMS = 35
+_SERIES_C = np.array([1.0 / math.factorial(k) ** 2
+                      for k in range(_SERIES_TERMS)])
+_SERIES_POWERS = 2.0 * np.arange(_SERIES_TERMS)
+# No operand or product of the series may leave the normal range: a
+# subnormal one slows the matrix product and np.power 40- to 80-fold.  For
+# k >= 2, with x/2 = (|p| s)(r / 2s) and |p| s <= 2 X_s, a table entry at
+# r / 2s below _SERIES_ETA[k] is under 2^-64 of the first term at every x,
+# and a power (|p| s)^{2k} below 1e-100 under 1e-40 of it wherever r / 2s
+# <= 110 (see _bessel_rule): both count as 0
+_SERIES_ETA = np.array([0.0, 0.0] + [
+    (2.0 ** -64 / c) ** (1 / (2 * k - 2)) / (2 * _X_SWITCH)
+    for k, c in enumerate(_SERIES_C) if k >= 2])[:, None]
+_SERIES_VMIN = np.array([0.0, 0.0] + [
+    10.0 ** (-50 / k) for k in range(2, _SERIES_TERMS)])
+# the factors of the series table's rows in J (I_0 - 1) (k >= 1) and in
+# J I_1(x)/x, whose coefficients 1/(2 k! (k+1)!) are 1/(2 (k+1)) of I_0's
+_SERIES_ROWS = np.array([[0.0] + [1.0] * (_SERIES_TERMS - 1),
+                         [0.5 / (k + 1) for k in range(_SERIES_TERMS)]]
+                        )[:, None, :]
+
+
+def _hankel_coefficients(nu, m):
+    """(-1)^k a_k(nu) for k < m (A&S 9.7.1), a_k(nu) = prod_{j <= k}
+    (4 nu^2 - (2j - 1)^2) / (k! 8^k)."""
+    out, a = [], 1.0
+    for k in range(m):
+        out.append(a)
+        a *= -(4 * nu * nu - (2 * k + 1) ** 2) / (8 * (k + 1))
+    return out
+
+
+# (2 pi)^{-1/2} sum_k (-1)^k a_k(nu) x^{-k-1/2} gives J I_0 e^{-x}, and
+# the same sum shifted by one power of x J I_1 e^{-x} / x: one table of
+# powers (r/s)^{-k-1/2}, k <= _HANKEL_TERMS, serves both
+_HANKEL_LEFT = np.array(
+    [_hankel_coefficients(0, _HANKEL_TERMS) + [0.0],
+     [0.0] + _hankel_coefficients(1, _HANKEL_TERMS)]) / math.sqrt(2 * math.pi)
+_HANKEL_POWERS = -0.5 - np.arange(_HANKEL_TERMS + 1.0)
 
 
 def _rung(p, edge):
@@ -174,45 +251,116 @@ def _rung(p, edge):
 
 def _rule(params, p_lo, p_hi, essential):
     """Nodes y, weights w, ln J and J at the nodes for the integral over
-    the line, or in 2-D over the radii with the polar 2 pi r in w (over
-    |y| > rho0/2 if essential), for every p in [p_lo, p_hi], one end of
-    which is 0 (in 2-D p is |p| and p_lo = 0); then the mask c of the nodes
-    where the compensator acts, c J, and for a singular kernel (not
-    essential) J(side _U_MIN^2) on each ray."""
+    the line, or in 2-D over the increasing radii with the polar 2 pi r in
+    w (over |y| > rho0/2 if essential), for every p in [p_lo, p_hi], one
+    end of which is 0 (in 2-D p is |p| and p_lo = 0); then for a singular
+    kernel (not essential) J(side _U_MIN^2) on each ray; then in 2-D the
+    Bessel tables of _bessel_rule, w r^2 and the sums of w J and w r^2 J,
+    in 1-D (not essential) the first moment of J beyond the compensator
+    (0 for a symmetric kernel), the reach max |y| if J is normal at every
+    node (else inf), w y and w y^2."""
     k = params.kernel
     y, w = _ray_rule(k, (k.rho0 / 2 if essential else 0.0,
                          params.delta_split, _FAR),
                      k.singularity_exponent > 0 and not essential,
                      (p_lo, p_hi))
+    if k.dimension == 2:
+        # increasing radii: the Bessel series and expansions take slices
+        order = np.argsort(y)
+        y, w = y[order], w[order]
     lj = k.log_j(y)
     jv = np.exp(lj)
-    c = (np.abs(y) < 1.0) & params.compensated & (not essential)
     lnj, sides = _rays(k)
     j_eps = [math.exp(float(lnj(side * _U_MIN ** 2))) for side in sides
              if k.singularity_exponent > 0 and not essential]
-    return y, w, lj, jv, c, c * jv, j_eps
+    extra = None
+    if k.dimension == 2:
+        wyy = w * y * y
+        extra = (_bessel_rule(y, lj, jv, p_hi), wyy, float(w @ jv),
+                 float(wyy @ jv))
+    elif not essential:
+        # the first moment takes the leading order of y J over (0,
+        # _U_MIN^2) on each side where the compensator does not act
+        s, eps = k.singularity_exponent, _U_MIN ** 2
+        beyond = (np.abs(y) >= 1.0) | (not params.compensated)
+        first = 0.0 if k.symmetric else float(
+            (w * y * jv)[beyond].sum()) + sum(
+            side * je * eps * eps / (1 - s) for side, je in zip(sides, j_eps)
+            if not params.compensated)
+        reach = (float(np.abs(y).max())
+                 if jv.min() >= np.finfo(float).tiny else math.inf)
+        extra = first, reach, w * y, w * y * y
+    return y, w, lj, jv, j_eps, extra
 
 
-def _radial_integrand(m, essential, x, y, e, jv):
-    """The 2-D integrand of moment m at the radii y (x = |p| y, e =
-    e^x J(y), jv = J(y)), before the weights.  The angular integrals give
-    I_n(x) = i{n}e(x) e^x, with e^x in e; the compensator integrates to
-    0 over every circle."""
-    if m == 1:
-        return y * e * i1e(x)
-    if m == 2:
-        # (I_0 + I_2) / 2 = I_0 - I_1 / x, free of cancellation; I_1(x) / x
-        # is 1/2 at x = 0
-        xm = np.maximum(x, 1e-300)
-        return y * y * e * (i0e(x) - i1e(xm) / xm)
-    f = e * i0e(x)
-    if not essential:
-        f -= jv
-        # below x = 0.5, I_0(x) - 1 from its series
-        near = np.nonzero(x < 0.5)
-        t = 0.25 * x[near] ** 2
-        f[near] = jv[near[1]] * np.polyval(_I0M1, t) * t
-    return f
+def _bessel_rule(y, lj, jv, p_top):
+    """The Bessel tables of a 2-D rule with increasing radii y, ln J = lj
+    and J = jv, for |p| up to p_top: the scale s, a power of 2 near X_s /
+    p_top (so that |p| s and y / s are exact and |p| s <= 2 X_s); the
+    series table c_k (y / 2s)^{2k} J, c_k = 1/(k!)^2, taken as 0 where J <
+    1e-150 max J and, for k >= 2, below 1e-200 max J and where y / 2s <
+    _SERIES_ETA[k]; the index f of the first radius with y p_top > X_s,
+    and the Hankel table (y / s)^{-k-1/2} of the radii from there on (at
+    y / s >= 1/2, which every x = |p| y > X_s has); then y, lj and jv.
+    With finite H, y / 2s stays below about 110 wherever J > 0, and where
+    it passes 4096 it is cut there: x exceeds 5e4 there at the largest
+    |p|, where e^{x + ln J} overflows and the engine raises."""
+    s = 2.0 ** max(-1000, min(1000, round(
+        math.log2(_X_SWITCH) - math.log2(p_top) if p_top > 0
+        else math.log2(max(y[-1], 1.0)))))
+    h = 0.5 * y / s
+    ref = jv.max()
+    series = np.zeros((_SERIES_TERMS, y.size))
+    np.power(np.minimum(h, 4096.0), _SERIES_POWERS[:, None], out=series,
+             where=h >= _SERIES_ETA)
+    series *= _SERIES_C[:, None]
+    series *= np.where(jv >= 1e-150 * ref, jv, 0.0)
+    series[2:][series[2:] < 1e-200 * ref] = 0.0
+    f = (y.size if p_top <= 0 else
+         int(np.searchsorted(y, _X_SWITCH * (1 - 1e-12) / p_top)))
+    hankel = np.maximum(2.0 * h[f:], 0.5) ** _HANKEL_POWERS[:, None]
+    hankel[hankel < 1e-250] = 0.0
+    return s, series, f, hankel, y, lj, jv
+
+
+def _bessel_parts(p, tables):
+    """J (I_0(x) - 1) and J I_1(x)/x at x = p y for the column p of radii
+    |p| and the radii y of a rule's Bessel tables, as an array (2, len(p),
+    len(y))."""
+    s, series, f, hankel, y, lj, jv = tables
+    rows, n = p.shape[0], y.size
+    lo, hi = p.min(), p.max()
+    # the radii where some x <= X_s take the series, those where some x >
+    # X_s the Hankel expansions: two slices of the increasing y, with a
+    # margin for the rounding of x
+    j1 = n if lo <= 0 else int(np.searchsorted(y, _X_SWITCH * (1 + 1e-12)
+                                               / lo))
+    j0 = n if hi <= 0 else int(np.searchsorted(y, _X_SWITCH * (1 - 1e-12)
+                                               / hi))
+    v = p * s
+    if lo * s >= _SERIES_VMIN[-1]:     # no power to take as 0
+        left = v ** _SERIES_POWERS
+    else:
+        left = np.where(v >= _SERIES_VMIN,
+                        np.maximum(v, _SERIES_VMIN) ** _SERIES_POWERS, 0.0)
+    left = _SERIES_ROWS * left
+    if j0 == n:
+        return left @ series
+    out = np.empty((2, rows, n))
+    out[:, :, :j1] = left @ series[:, :j1]
+    x = p * y[j0:]
+    # rows with no x > X_s take any |p| s that keeps the powers finite
+    vh = np.maximum(v, _X_SWITCH * s / y[-1])
+    far = (_HANKEL_LEFT[:, None, :] * vh ** _HANKEL_POWERS) @ hankel[
+        :, j0 - f:]
+    far *= np.exp(x + lj[j0:])
+    far[0] -= jv[j0:]
+    if j1 > j0:     # the radii where the x of some rows reach X_s
+        mix = far[:, :, :j1 - j0]
+        mix[...] = np.where(x[:, :j1 - j0] > _X_SWITCH, mix,
+                            out[:, :, j0:j1])
+    out[:, :, j0:] = far
+    return out
 
 
 def _jump_moments(params, ps, moments, essential):
@@ -235,7 +383,6 @@ def _one_signed(params, ps, moments, essential):
     """_jump_moments for a batch whose p share one sign, on the rule of
     its signed rung: the rung of its largest |p|, negated for p < 0."""
     k = params.kernel
-    sides = _rays(k)[1]
     radial = k.dimension == 2
     lo, hi = k.p_domain
     neg = ps[0] < 0.0
@@ -244,71 +391,89 @@ def _one_signed(params, ps, moments, essential):
     flip = neg and k.symmetric and not radial
     if flip:
         ps, neg = -ps, False
-    rung = -_rung(-ps.min(), -lo) if neg else _rung(ps.max(), hi)
+    top = float(-ps.min() if neg else ps.max())     # the largest |p|
+    rung = -_rung(top, -lo) if neg else _rung(top, hi)
     key = (essential, rung)
     if key not in params._rules:
         if len(params._rules) >= _RULES_KEPT:
             del params._rules[next(iter(params._rules))]
         params._rules[key] = _rule(params, min(rung, 0.0), max(rung, 0.0),
                                    essential)
-    y, w, lj, jv, c, cjv, j_eps = params._rules[key]
-    # e^{py} - 1 near 0 serves H and the compensated H'
-    small = 0 in moments or params.compensated
+    y, w, lj, jv, j_eps, extra = params._rules[key]
     out = np.empty((len(moments), ps.size))
     rows = max(1, _CHUNK // max(y.size, 1))
+    if radial:
+        tables, wyy, wj, wyyj = extra
+    elif not essential:
+        first, reach, wy, wyy = extra
+        # J (e^{py} - 1) is J expm1(p y) at every node while J is normal
+        # at every node and |p y| < 700; otherwise it is e^{py + ln J} - J,
+        # by expm1 where |p y| < 0.1
+        plain = top * reach < 700.0
+        with_g = 0 in moments or 1 in moments
     for i in range(0, ps.size, rows):
         p = ps[i:i + rows, None]
+        # row sums in fixed order: in 1-D a p's value does not depend on
+        # the chunk it lands in (in 2-D the matrix products may round it
+        # by an ulp or two)
+        if radial:
+            # the row sums of J (I_0 - 1) w, |p| r^2 J I_1/x w and r^2 J
+            # (I_0 - I_1/x) w, and of J I_0 w for H^ess
+            i0m1, i1x = _bessel_parts(p, tables)
+            for j, m in enumerate(moments):
+                out[j, i:i + rows] = (
+                    (i0m1 * w).sum(axis=1) + (wj if essential else 0.0)
+                    if m == 0 else p[:, 0] * (i1x * wyy).sum(axis=1)
+                    if m == 1 else ((i0m1 - i1x) * wyy).sum(axis=1) + wyyj)
+            continue
         x = p * y
-        e = np.exp(x + lj)
-        if small and not (essential or radial):
-            # where |p y| is small, e^{py} - 1 by expm1, and where the
-            # compensator acts, e^{py} - 1 - p y by its series
+        if essential:
+            e = np.exp(x + lj)
+            for j, m in enumerate(moments):
+                out[j, i:i + rows] = ((e * y if m == 1 else e) * w).sum(
+                    axis=1)
+            continue
+        if with_g:
+            g = jv * np.expm1(x) if plain else np.exp(x + lj) - jv
+        if 0 in moments or with_g and not plain:
             near = np.nonzero(np.abs(x) < 0.1)
-            em1 = np.expm1(x[near])
-            if params.compensated:
-                cs = c[near[1]]
-                comp = near[0][cs], near[1][cs]
+            xn, jn = x[near], jv[near[1]]
+            if not plain:
+                g[near] = jn * np.expm1(xn)
         for j, m in enumerate(moments):
-            if radial:
-                f = _radial_integrand(m, essential, x, y, e, jv)
-            elif essential:
-                f = e * y if m == 1 else e
-            elif m == 0:
-                f = e - jv - x * cjv
-                f[near] = jv[near[1]] * em1
-                if params.compensated:
-                    xc = x[comp]
-                    f[comp] = jv[comp[1]] * (np.polyval(_EXPM1MX, xc)
-                                             * xc * xc)
+            if m == 0:
+                # J (e^{py} - 1 - p y), by its series where |p y| < 0.1;
+                # p times the first moment below
+                f = g - x * jv
+                f[near] = jn * xn * xn * (np.vander(xn, _EXPM1MX.size, True)
+                                          @ _EXPM1MX)
+                out[j, i:i + rows] = (f * w).sum(axis=1)
             elif m == 1:
-                f = y * (e - cjv)
-                if params.compensated:
-                    f[comp] = y[comp[1]] * jv[comp[1]] * em1[cs]
+                # y J (e^{py} - 1); the first moment below
+                out[j, i:i + rows] = (g * wy).sum(axis=1)
             else:
-                f = y * y * e
-            # a row sum in fixed order: a p's value does not depend on the
-            # chunk it lands in
-            out[j, i:i + rows] = (f * w).sum(axis=1)
+                out[j, i:i + rows] = ((g + jv if with_g else np.exp(x + lj))
+                                      * wyy).sum(axis=1)
     # an integrand past the float range leaves inf or nan in its row sum
     if not np.isfinite(out).all():
         raise NonConvergence("e^{py} J(y) overflows; H out of float range")
+    if not (essential or radial) and first:
+        for j, m in enumerate(moments):
+            if m < 2:
+                out[j] += first * ps if m == 0 else first
     s, eps = k.singularity_exponent, _U_MIN ** 2
-    # in 2-D the terms odd in y vanish on every circle, so the leading
-    # orders of the compensated integrands apply
-    full = params.compensated or radial
-    for side, je in zip(sides, j_eps):      # none unless singular
+    for je in j_eps:        # none unless singular
         # int over (0, eps) on this side of the leading-order integrand
-        # c_m y^n J(y), with J(y) ~ J(side eps) (|y|/eps)^{-N-s}; in 2-D
-        # the angular integral and the polar r add the factor pi eps
+        # c_m y^2 J(y), with J(y) ~ J(side eps) (|y|/eps)^{-N-s}, of J
+        # (e^{py} - 1 - p y), y J (e^{py} - 1) and y^2 J e^{py} (their
+        # first moments are in the rule's; in 2-D the odd terms vanish on
+        # every circle); in 2-D the angular integral and the polar r add
+        # the factor pi eps
         if radial:
             je *= math.pi * eps
         for j, m in enumerate(moments):
-            n = 2 if (m == 2 or full) else 1
-            if m == 0:
-                coef = 0.5 * ps * ps if full else ps
-            else:
-                coef = ps if m == 1 and full else 1.0
-            out[j] += coef * side ** n * je * eps ** (n + 1) / (n - s)
+            coef = 0.5 * ps * ps if m == 0 else ps if m == 1 else 1.0
+            out[j] += coef * je * eps ** 3 / (2 - s)
     if flip:
         out[[j for j, m in enumerate(moments) if m == 1]] *= -1.0
     return out

@@ -5,7 +5,7 @@ import pytest
 
 import ldp.hamiltonian as ham
 from ldp import (DomainViolation, Hamiltonian, HamiltonianParams,
-                 ValidationError, build_kernel, eval_h_ess)
+                 Lagrangian, ValidationError, build_kernel, eval_h_ess)
 from ldp.hamiltonian import (HTable, eval_batch, eval_h, grad_h,
                              hess_quadform)
 
@@ -213,3 +213,56 @@ def test_one_rule_per_octave(compact_kernel, monkeypatch):
     # a table over [-P, P] of a symmetric kernel takes the rule of P
     HTable(Hamiltonian.from_params(params), np.linspace(-3.5, 3.5, 201))
     assert len(builds) == 2
+
+
+# every symmetric 1-D family; the uncompensated form where it exists
+_SYMMETRIC_1D = [
+    ("compact_uniform", {"rho": 1.0}), ("compact_custom", {
+        "rho": 1.5, "dip_a": 0.3, "dip_b": 0.8, "dip_factor": 0.25}),
+    ("exp_power", {"alpha": 1.5}), ("exp_linear", {"alpha": 2.0}),
+    ("super_exp", {}), ("tempered_stable", {"alpha": 0.5, "lam": 1.0}),
+    ("tempered_stable", {"alpha": 1.5, "lam": 2.0})]
+_FORMS = [(family, params, compensated) for family, params in _SYMMETRIC_1D
+          for compensated in (True, False)
+          if compensated or params.get("alpha", 0.0) < 1.0
+          or family != "tempered_stable"]
+_FORM_IDS = [f"{family}{params.get('alpha', '')}-"
+             f"{'compensated' if compensated else 'uncompensated'}"
+             for family, params, compensated in _FORMS]
+
+
+@pytest.mark.parametrize("family,params,compensated", _FORMS,
+                         ids=_FORM_IDS)
+def test_small_p_derivatives_of_symmetric_kernels(family, params,
+                                                  compensated):
+    # H' integrates y J (e^{py} - 1) and H J (e^{py} - 1 - p y), plus the
+    # first moment of J, 0 here: H'(0) is 0 and H'(p) / (p H''(0)) and
+    # H(p) / (p^2 H''(0) / 2) tend to 1 down to the smallest p, on the
+    # scalar path and in one batch with a large p
+    h = Hamiltonian.from_kernel(build_kernel(family, 1, params),
+                                compensated=compensated)
+    zero = eval_batch(h.params, [0.0], (0, 1, 2))[:, 0]
+    assert zero[0] == 0.0 and zero[1] == 0.0
+    assert np.all(h.grad(0.0) == 0.0)
+    ps = np.logspace(-300, -8, 30)
+    ps = np.concatenate([ps, -ps])
+    batch = eval_batch(h.params, np.append(ps, 0.5), (0, 1))[:, :-1]
+    for p, v, d in zip(ps, *batch):
+        scalar = eval_batch(h.params, [p], (0, 1))[:, 0]
+        assert scalar[1] / (p * zero[2]) == pytest.approx(1.0, rel=1e-12)
+        assert d / (p * zero[2]) == pytest.approx(1.0, rel=1e-12)
+        for value in (scalar[0], v):
+            assert value >= 0.0
+            if p * p > 1e-290:      # H itself above the subnormals
+                assert value / (0.5 * p * p * zero[2]) == pytest.approx(
+                    1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("family,params,compensated", _FORMS,
+                         ids=_FORM_IDS)
+def test_lagrangian_is_nonnegative_near_zero(family, params, compensated):
+    h = Hamiltonian.from_kernel(build_kernel(family, 1, params),
+                                compensated=compensated)
+    qs = np.logspace(-300, -6, 50)
+    res = Lagrangian(h).result(np.concatenate([qs, -qs]))
+    assert (res.value >= 0.0).all()
