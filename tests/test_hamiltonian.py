@@ -224,8 +224,8 @@ _SYMMETRIC_1D = [
     ("tempered_stable", {"alpha": 1.5, "lam": 2.0})]
 _FORMS = [(family, params, compensated) for family, params in _SYMMETRIC_1D
           for compensated in (True, False)
-          if compensated or params.get("alpha", 0.0) < 1.0
-          or family != "tempered_stable"]
+          if compensated or family != "tempered_stable"
+          or params["alpha"] < 1.0]
 _FORM_IDS = [f"{family}{params.get('alpha', '')}-"
              f"{'compensated' if compensated else 'uncompensated'}"
              for family, params, compensated in _FORMS]
@@ -235,10 +235,10 @@ _FORM_IDS = [f"{family}{params.get('alpha', '')}-"
                          ids=_FORM_IDS)
 def test_small_p_derivatives_of_symmetric_kernels(family, params,
                                                   compensated):
-    # H' integrates y J (e^{py} - 1) and H J (e^{py} - 1 - p y), plus the
-    # first moment of J, 0 here: H'(0) is 0 and H'(p) / (p H''(0)) and
-    # H(p) / (p^2 H''(0) / 2) tend to 1 down to the smallest p, on the
-    # scalar path and in one batch with a large p
+    # H integrates J (e^{py} - 1 - p y) and H' y J (e^{py} - 1), each plus
+    # a multiple of the first moment of J, 0 here: H'(0) is 0, and H'(p) /
+    # (p H''(0)) and H(p) / (p^2 H''(0) / 2) tend to 1 down to the
+    # smallest p, on the scalar path and in one batch with a large p
     h = Hamiltonian.from_kernel(build_kernel(family, 1, params),
                                 compensated=compensated)
     zero = eval_batch(h.params, [0.0], (0, 1, 2))[:, 0]
