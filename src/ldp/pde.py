@@ -17,17 +17,23 @@ rate of the stencil and P the convolution with w / rate,
     u(t) = sum_n Pois(n; rate t) P^n u(0),
 
 a sum of nonnegative terms, so tail values keep their relative accuracy.
-Each P^n u(0) lies in [0, M], M = max u(0), so a sum cut after n terms is
-short by at most M times the Poisson tail mass beyond them, bounded by Fox
-& Glynn (1988).  A snapshot's sum stops by one of two rules:
+P is stochastic and reads only the initial buffer (the free band, the held
+nodes and the pads beyond the grid), whose held entries never change, so
+each P^n u(0) lies in [m, M] with m and M the smallest and the largest
+entry of that buffer (the discrete maximum principle), and so does every
+snapshot.  A sum cut after n terms is short by at most M times the Poisson
+tail mass beyond them, bounded by Fox & Glynn (1988).  A snapshot's sum
+stops by one of two rules:
 
-    default   M * tail <= 1e-16 * 1e-300, the representable floor: every
-              value above that floor has a relative truncation error
-              below 1e-16, whatever the caller reads.
-    reads     M * tail <= 1e-16 * max(1e-300, min of the partial sum over
-              the nodes the caller reads): the partial sums only grow, so
-              every read value has a relative truncation error below
-              1e-16; the other nodes carry no stated accuracy.
+    default   M * tail <= 1e-16 * max(1e-300, m): every value is at least
+              m, so each one has a relative truncation error below 1e-16
+              when m > 0 (whole-line runs with positive data), and each
+              one above the representable floor 1e-300 has when m = 0
+              (the 0 that Dirichlet and barrier runs hold outside).
+    reads     M * tail <= 1e-16 * max(1e-300, m, min of the partial sum
+              over the nodes the caller reads): the partial sums only
+              grow, so every read value has a relative truncation error
+              below 1e-16; the other nodes carry no stated accuracy.
 
 The nodes a boundary mode holds (|x| > R) never change, so P is applied
 only on the band of free nodes, |x| <= R (the whole grid in whole_line
@@ -52,6 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
@@ -186,6 +193,11 @@ def _poisson_weights(mu, log_tol):
             return weights, log_tails
 
 
+def _value_floor(buf):
+    """m, the smallest entry of the initial buffer: no sum falls below it."""
+    return float(buf.min())
+
+
 def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
     """Uniformisation, exact in time; returns the requested snapshots.
 
@@ -195,15 +207,19 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
     band of every snapshot t; held nodes keep their data throughout, and
     meta["free_nodes"] counts the band.
 
-    reads=None: each sum stops when max(u0) times its Poisson tail mass is
-    below 1e-16 of the representable floor, so every value above that
-    floor carries a relative truncation error below 1e-16.  reads, a
-    boolean mask over cfg.x: each sum stops once that product is at most
-    1e-16 times the smallest partial sum over the masked nodes (or the
-    floor, while one of them is still 0), so every masked value carries a
-    relative truncation error below 1e-16 and the other nodes none that is
-    stated.  meta["tail_bound"] is max(u0) times the tail bound at the
-    stop, the largest over the snapshots.
+    Every value is at least m = meta["value_floor"], the smallest entry
+    of the initial buffer (min(u0) in whole_line mode; 0 in the other two,
+    which hold a 0).  reads=None: each sum stops when max(u0) times its
+    Poisson tail mass is below 1e-16 times m, or times the representable
+    floor 1e-300 if m is smaller, so every value (every value above that
+    floor, when m = 0) carries a relative truncation error below 1e-16.
+    reads, a boolean mask over cfg.x: each sum stops once that product is
+    at most 1e-16 times the larger of that bound and the smallest partial
+    sum over the masked nodes, so every masked value carries a relative
+    truncation error below 1e-16 and the other nodes none that is stated.
+    meta["tail_bound"] is max(u0) times the tail bound at the stop, the
+    largest over the snapshots, and meta["saturated_nodes"] counts the
+    values at or below 1e-300 over the snapshots.
     """
     h = cfg.h
     x = cfg.x
@@ -232,8 +248,10 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
     window = buf[lo:hi + len(ks) - 1]  # the entries the band reads
     band = buf[kpad + lo:kpad + hi]    # view: P^n u(0) on the free nodes
     taps = w[::-1] / (rate or 1.0)  # rate 0: no jumps, P is never applied
+    m = _value_floor(buf)
+    floor = max(_SAT_FLOOR, m)
     log_M = math.log(max(M, _SAT_FLOOR))
-    log_tol = math.log(1e-16 * _SAT_FLOOR) - log_M
+    log_tol = math.log(1e-16 * floor) - log_M
     terms = [_poisson_weights(rate * t, log_tol) for t in cfg.snapshots]
     # held entries of every sum keep their data; only the band accumulates
     sums = [np.where(held, u, 0.0) for _ in terms]
@@ -251,7 +269,7 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
             if n < stops[i]:
                 s[lo:hi] += p[n] * band
                 if reads is not None and log_M + tails[n] <= math.log(
-                        1e-16 * max(_SAT_FLOOR, float(s[idx].min()))):
+                        1e-16 * max(floor, float(s[idx].min()))):
                     stops[i] = n + 1
         n += 1
     matvecs = max(stops) - 1
@@ -261,6 +279,9 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
         "bc_mode": cfg.bc_mode, "R": cfg.R, "h": h, "rate": rate,
         "matvecs": matvecs, "dt": cfg.snapshots[-1] / max(matvecs, 1),
         "tail_bound": math.exp(math.log(M) + tail) if M > 0 else 0.0,
+        "value_floor": m,
+        "saturated_nodes": sum(int(np.count_nonzero(s <= _SAT_FLOOR))
+                               for s in sums),
         "free_nodes": hi - lo, "kernel": cfg.kernel.family})
 
 
@@ -289,14 +310,15 @@ def empirical_rate(vR: FieldHistory, R) -> FieldHistory:
     value is beyond what float64 can represent); their count is reported in
     the metadata rather than raised, so partial windows stay usable.
     """
+    if not 0 < R < math.inf:
+        raise ValidationError("R must be finite and positive")
     out = []
     saturated = 0
     for f in vR.fields:
         vals = f.values
         sat = vals <= _SAT_FLOOR
         saturated += int(np.sum(sat))
-        with np.errstate(divide="ignore"):
-            I = -np.log(np.where(sat, 1.0, vals)) / R
+        I = -np.log(np.where(sat, 1.0, vals)) / R
         I[sat] = np.inf
         out.append(Field(x=f.x / R, t=f.t / R, values=I))
     meta = dict(vR.meta)
@@ -313,8 +335,10 @@ class SweepRecord:
     empirical_exponent: float
     predicted_exponent: float
     ratio: float
-    # the barrier solve's matvecs; None for a record read back from a table
+    # the barrier solve's matvecs and wall time in seconds; None for a
+    # record read back from a table.  A timing takes no part in equality.
     matvecs: Optional[int] = None
+    wall_s: Optional[float] = field(default=None, compare=False)
 
 
 @dataclass
@@ -354,7 +378,7 @@ def run_sweep(kernel: Kernel, Rs, theta=0.0, t_obs=1.0,
     Each solve reads only the window |x| <= theta R, so it stops by the
     `reads` rule of `simulate`: sup_diff, the largest window value, keeps a
     relative truncation error below 1e-16, and the record carries the
-    solve's matvecs.
+    solve's matvecs and wall time.
     """
     if kernel.mass is None or abs(kernel.mass - 1.0) > 1e-9:
         raise ValidationError(
@@ -366,7 +390,9 @@ def run_sweep(kernel: Kernel, Rs, theta=0.0, t_obs=1.0,
         cfg = SimConfig(kernel=kernel, R=R, T=t_obs, bc_mode="barrier",
                         n_per_unit=n_per_unit)
         inside = np.abs(cfg.x) <= theta * R + 1e-12
+        start = time.perf_counter()
         hist = simulate(cfg, reads=inside)
+        wall = time.perf_counter() - start
         # v_R >= 0, a sum of nonnegative terms, so u - u_R needs no check
         sup = max(float(np.max(hist.fields[-1].values[inside])), _SAT_FLOOR)
         emp = -math.log(sup)
@@ -376,7 +402,7 @@ def run_sweep(kernel: Kernel, Rs, theta=0.0, t_obs=1.0,
                            empirical_exponent=emp,
                            predicted_exponent=float(pred),
                            ratio=emp / float(pred),
-                           matvecs=hist.meta["matvecs"])
+                           matvecs=hist.meta["matvecs"], wall_s=wall)
 
     workers = int(os.environ.get("LDP_THREADS", "0")) or None
     with ThreadPoolExecutor(max_workers=workers) as ex:

@@ -124,8 +124,8 @@ def test_sweep_deterministic_and_reingestable(compact_spec, tmp_path):
     path = str(tmp_path / "sweep_a.csv")
     recs = records_from_csv(path)
     assert [r.R for r in recs] == [3.0, 4.0, 5.0]
-    # the table keeps no solver counts
-    assert all(r.matvecs is None for r in recs)
+    # the table keeps no solver counts or timings
+    assert all(r.matvecs is None and r.wall_s is None for r in recs)
     fit = fit_rate(recs)
     assert np.isfinite(fit.slope)
     # footer carries the same fit

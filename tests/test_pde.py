@@ -279,6 +279,13 @@ def test_empirical_rate_flags_saturation():
     assert np.isinf(out.fields[0].values[0])
 
 
+@pytest.mark.parametrize("R", [0.0, -2.0, math.nan, math.inf, -math.inf])
+def test_empirical_rate_rejects_a_bad_R(R):
+    v = Field(x=np.linspace(-1, 1, 5), t=1.0, values=np.full(5, 0.5))
+    with pytest.raises(ValidationError):
+        empirical_rate(FieldHistory(fields=[v]), R)
+
+
 def _records(Rs, emp):
     return [SweepRecord(R=R, theta=0.0, t_obs=1.0, sup_diff=math.exp(-e),
                         empirical_exponent=e, predicted_exponent=R,
@@ -325,6 +332,15 @@ def test_run_sweep_small_ladder(compact_kernel):
         assert r.empirical_exponent == pytest.approx(-math.log(r.sup_diff))
         assert r.ratio == pytest.approx(
             r.empirical_exponent / r.predicted_exponent)
+        assert isinstance(r.wall_s, float) and r.wall_s > 0
+
+
+def test_sweep_record_equality_ignores_the_wall_time(compact_kernel):
+    # a rerun of the same sweep gives equal records, however long it took
+    a, b = (run_sweep(compact_kernel, [3.0, 4.0], n_per_unit=8)
+            for _ in range(2))
+    b[0].wall_s += 1.0
+    assert a == b
 
 
 def test_run_sweep_requires_unit_mass():
@@ -393,6 +409,117 @@ def test_default_stop_reaches_the_representable_floor(compact_kernel):
     hist = simulate(SimConfig(kernel=compact_kernel, R=6.0, T=1.0,
                               bc_mode="barrier", snapshots=[0.5, 1.0]))
     assert 0 < hist.meta["tail_bound"] <= 1e-16 * pde._SAT_FLOOR
+
+
+def _floor_run(cfg):
+    """The solve whose sums all run to the representable floor 1e-300, as
+    they did before the stop used the value floor m."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "_value_floor", lambda buf: 0.0)
+        return simulate(cfg)
+
+
+_FLOOR_KERNELS = {
+    "compact": build_kernel("compact_uniform", 1, {"rho": 1.0}),
+    "exp_linear": build_kernel("exp_linear", 1, {"alpha": 2.5}),
+    "tempered": build_kernel("tempered_stable", 1,
+                             {"alpha": 1.5, "lam": 2.0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOOR_KERNELS))
+@settings(max_examples=8, deadline=None)
+@given(R=st.floats(1.0, 4.0), T=st.floats(0.1, 1.0),
+       A_diff=st.floats(0.0, 0.5), B_drift=st.floats(-0.5, 0.5),
+       base=st.floats(1e-3, 1.0), amp=st.floats(0.0, 2.0),
+       phase=st.floats(0.0, 2 * math.pi), scale=st.sampled_from([1e-3, 1e3]))
+def test_whole_line_stop_at_the_value_floor(name, R, T, A_diff, B_drift,
+                                            base, amp, phase, scale):
+    # positive data: every P^n u(0) stays >= m = min(u0) (the discrete
+    # maximum principle), so a sum cut at 1e-16 m leaves every value
+    # within 1e-16 relative of the sum run to the floor 1e-300
+    kernel = _FLOOR_KERNELS[name]
+    u0 = lambda x: scale * (base + amp * (1.0 + math.cos(x + phase)))
+    cfg = SimConfig(kernel=kernel, R=R, T=T, u0=u0, A_diff=A_diff,
+                    B_drift=B_drift, bc_mode="whole_line", n_per_unit=8,
+                    snapshots=[T / 2, T])
+    hist, ref = simulate(cfg), _floor_run(cfg)
+    m = hist.meta["value_floor"]
+    assert m == np.min(cfg.u0_values(cfg.x)) > 0
+    assert hist.meta["matvecs"] <= ref.meta["matvecs"]
+    assert hist.meta["tail_bound"] <= 1e-16 * m
+    # in floating point each matvec sums len(w) nonnegative products with
+    # taps that sum to 1 within an ulp, so it may lose 2 len(w) + 2 ulp
+    # of the smallest value it reads (a constant drifts by about one ulp
+    # a matvec: 1.5e-14 below m after 200 of them, in the floor run too)
+    taps = len(_stencil(kernel, cfg.h, cfg.reach, A_diff, B_drift)[1])
+    slack = (hist.meta["matvecs"] + 1) * (2 * taps + 2) * 2.0 ** -53
+    for a, b in zip(hist.fields, ref.fields):
+        assert np.all(a.values >= m * (1 - 1e-16 - slack))
+        assert np.max(np.abs(a.values - b.values) / b.values) <= 4e-16
+
+
+def test_whole_line_data_with_a_zero_node_keeps_the_floor_stop(
+        compact_kernel):
+    # min(u0) = 0 at x = 0: m = 0, and the stop is the floor's, as before
+    cfg = SimConfig(kernel=compact_kernel, R=4.0, T=1.0,
+                    u0=lambda x: min(1.0, x * x), bc_mode="whole_line",
+                    n_per_unit=8, domain_truncation=12.0,
+                    snapshots=[0.5, 1.0])
+    hist, ref = simulate(cfg), _floor_run(cfg)
+    assert hist.meta["value_floor"] == 0.0
+    assert hist.meta["matvecs"] == ref.meta["matvecs"] == 173
+    for a, b in zip(hist.fields, ref.fields):
+        assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("bc_mode,A_diff,B_drift,matvecs", [
+    ("dirichlet_zero_outside", 0.0, 0.0, 173),
+    ("dirichlet_zero_outside", 0.25, 0.5, 455),
+    ("barrier", 0.0, 0.0, 173), ("barrier", 0.25, 0.5, 455)])
+def test_held_zero_keeps_the_floor_stop(compact_kernel, bc_mode, A_diff,
+                                        B_drift, matvecs):
+    # Dirichlet and barrier runs hold a 0, so m = 0 and every sum runs to
+    # the floor 1e-300 with the matvecs it always took
+    cfg = SimConfig(kernel=compact_kernel, R=4.0, T=1.0,
+                    u0=lambda x: 1.0 + 0.5 * math.cos(x / 3.0 + 0.4),
+                    A_diff=A_diff, B_drift=B_drift, bc_mode=bc_mode,
+                    n_per_unit=8, snapshots=[0.5, 1.0])
+    hist, ref = simulate(cfg), _floor_run(cfg)
+    assert hist.meta["value_floor"] == 0.0
+    assert hist.meta["matvecs"] == ref.meta["matvecs"] == matvecs
+    for a, b in zip(hist.fields, ref.fields):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_whole_line_sandwich_solve_takes_few_matvecs(critical_kernel):
+    # the benchmark's whole-line exp_linear sandwich solve: its values
+    # never fall below 0.5, so its sums stop at 1e-16 * 0.5, not at the
+    # floor 1e-300 (172 matvecs)
+    cfg = SimConfig(kernel=critical_kernel, R=16.0, T=1.0,
+                    u0=lambda x: 1.0 + 0.5 * math.cos(x / 3.0 + 0.4),
+                    bc_mode="whole_line", domain_truncation=68.3)
+    assert simulate(cfg).meta["matvecs"] <= 20
+
+
+@pytest.mark.parametrize("bc_mode,R,T,u0", [
+    ("barrier", 30.0, 1e-10, 1.0),
+    ("dirichlet_zero_outside", 4.0, 1.0, 1.0),
+    ("whole_line", 4.0, 1.0, lambda x: 0.25 + math.exp(-x * x))])
+def test_meta_reports_value_floor_and_saturated_nodes(compact_kernel,
+                                                      bc_mode, R, T, u0):
+    cfg = SimConfig(kernel=compact_kernel, R=R, T=T, u0=u0, bc_mode=bc_mode,
+                    n_per_unit=8, snapshots=[T / 2, T])
+    hist = simulate(cfg)
+    vals = [f.values for f in hist.fields]
+    held_value = 0.0 if bc_mode != "whole_line" else 0.25
+    floor = min(held_value, float(np.min(cfg.u0_values(cfg.x))))
+    assert hist.meta["value_floor"] == floor
+    assert min(float(np.min(v)) for v in vals) >= floor * (1 - 1e-15)
+    saturated = sum(int(np.sum(v <= 1e-300)) for v in vals)
+    assert hist.meta["saturated_nodes"] == saturated
+    if bc_mode != "whole_line":
+        assert saturated > 0
 
 
 def test_reads_must_mask_a_node_of_the_grid(compact_kernel):
