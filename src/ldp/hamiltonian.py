@@ -17,16 +17,18 @@ p >= 0, each on the rule it would get alone.  The largest |p| of a half
 is first rounded out to a ladder with one rung per octave (2^j, or
 edge (1 - 2^{-j}) below a finite domain edge), and each
 HamiltonianParams keeps the rules of the signed rungs it has met, so
-the scalar calls of one octave share one rule.  A symmetric kernel
-takes p < 0 at -p, on the rule of -p.  Singular kernels take y = u^2
-near the origin.  Integrands are formed as exp(p y + ln J(y)), so huge
-exponential factors against tiny densities never overflow, and p is
-processed in chunks.  In 1-D, H and H' integrate J (e^{py} - 1 - p y)
-and y J (e^{py} - 1), the first by its series where |p y| < 0.1 and the
-second by expm1 there, and add p and 1 times the rule's first moment of
-J beyond the compensator, which is 0 for a symmetric kernel: there
-H'(0) = 0, H >= 0, and H' stays proportional to p down to the smallest
-p.
+the scalar calls of one octave share one rule, and the first panels its
+rules start from, which do not depend on p; its `stats` count the rules
+built, their nodes and build time, and the calls that found their rule.
+A symmetric kernel takes p < 0 at -p, on the rule of -p.  Singular
+kernels take y = u^2 near the origin.  Integrands are formed as exp(p y
++ ln J(y)), so huge exponential factors against tiny densities never
+overflow, and p is processed in chunks.  In 1-D, H and H' integrate
+J (e^{py} - 1 - p y) and y J (e^{py} - 1), the first by its series where
+|p y| < 0.1 and the second by expm1 there, and add p and 1 times the
+rule's first moment of J beyond the compensator, which is 0 for a
+symmetric kernel: there H'(0) = 0, H >= 0, and H' stays proportional to
+p down to the smallest p.
 
 For a radial kernel in 2-D the same panels cover the radii r > 0, and the
 angular integral gives Bessel factors of x = |p| r: J (I_0 - 1) for H,
@@ -77,6 +79,7 @@ _derivatives) and add the local terms; HTable tabulates H in one call.
 from __future__ import annotations
 
 import math
+import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -100,6 +103,21 @@ def __getattr__(name):
 
 
 @dataclass
+class EngineStats:
+    """What the H engine of one HamiltonianParams has done: the number of
+    nodes of each quadrature rule it built, in order, the engine calls
+    (one per one-signed half of a batch) that found their rule already
+    built, and the seconds spent building rules."""
+    rule_nodes: list = field(default_factory=list)
+    rule_hits: int = 0
+    build_s: float = 0.0
+
+    @property
+    def rule_builds(self):
+        return len(self.rule_nodes)
+
+
+@dataclass
 class HamiltonianParams:
     kernel: Optional[Kernel]
     A: np.ndarray = None          # (N, N) symmetric PSD; default zero
@@ -113,6 +131,12 @@ class HamiltonianParams:
     # quadrature rules of the engine, by p-range rung (see _rung)
     _rules: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    # the first panels of those rules, which do not depend on p (see
+    # kernels._ray_rule)
+    _panels: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+    stats: EngineStats = field(default_factory=EngineStats, init=False,
+                               repr=False, compare=False)
 
     def __post_init__(self):
         N = self.kernel.dimension if self.kernel is not None else 1
@@ -263,7 +287,7 @@ def _rule(params, p_lo, p_hi, essential):
     y, w = _ray_rule(k, (k.rho0 / 2 if essential else 0.0,
                          params.delta_split, _FAR),
                      k.singularity_exponent > 0 and not essential,
-                     (p_lo, p_hi))
+                     (p_lo, p_hi), kept=params._panels)
     if k.dimension == 2:
         # increasing radii: the Bessel series and expansions take slices
         order = np.argsort(y)
@@ -394,12 +418,18 @@ def _one_signed(params, ps, moments, essential):
     top = float(-ps.min() if neg else ps.max())     # the largest |p|
     rung = -_rung(top, -lo) if neg else _rung(top, hi)
     key = (essential, rung)
-    if key not in params._rules:
+    rule, stats = params._rules.get(key), params.stats
+    if rule is None:
         if len(params._rules) >= _RULES_KEPT:
             del params._rules[next(iter(params._rules))]
-        params._rules[key] = _rule(params, min(rung, 0.0), max(rung, 0.0),
-                                   essential)
-    y, w, lj, jv, j_eps, extra = params._rules[key]
+        start = time.perf_counter()
+        rule = params._rules[key] = _rule(
+            params, min(rung, 0.0), max(rung, 0.0), essential)
+        stats.build_s += time.perf_counter() - start
+        stats.rule_nodes.append(rule[0].size)
+    else:
+        stats.rule_hits += 1
+    y, w, lj, jv, j_eps, extra = rule
     out = np.empty((len(moments), ps.size))
     rows = max(1, _CHUNK // max(y.size, 1))
     if radial:

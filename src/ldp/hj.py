@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -86,6 +87,9 @@ class HJGrid:
     snapshots: Optional[List[float]] = None
 
     def __post_init__(self):
+        if (not isinstance(self.n, numbers.Integral)
+                or isinstance(self.n, bool)):
+            raise ValidationError(f"n must be an integer, not {self.n!r}")
         if not (self.n >= 3 and 0 < self.T < math.inf
                 and 0 <= self.A < math.inf):
             raise ValidationError("need n >= 3, finite T > 0 and A >= 0")

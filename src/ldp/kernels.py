@@ -19,7 +19,11 @@ truncation exponents).
 Every integral of J runs on one family of fixed Gauss-Legendre panels along
 the kernel's rays (`_ray_rule`): the H engine of `ldp.hamiltonian`, and here
 the masses, `levy_integral`, `tail_reach` and the small-ball moments of
-the nonlocal stencil (`_ray_integrals`).
+the nonlocal stencil (`_ray_integrals`).  One bisection refines the panels
+of every ray of a rule at once (both sides of the line in 1-D, the radii
+in 2-D), and each round tests only the halves the last one made.  The
+panels it starts from do not depend on p, so a caller that builds many
+rules of one kernel (the H engine, per Hamiltonian) keeps them.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -354,54 +358,170 @@ _FAR = 1e9              # unbounded supports: panels reach at most this far
 _MAX_PANELS = 4096
 
 
-def _side_rule(logj, knots, singular, p_ends, floor):
-    """Nodes t > 0 and weights along one ray, over the intervals between
-    `knots` (increasing from 0 or rho0/2), resolving e^{pt + logj(t)} for
-    p in p_ends down to e^floor.  Singular kernels take t = u^2 on the
-    first interval, down to u = _U_MIN."""
-    ends = list(zip(knots[:-1], knots[1:]))
-    if singular:
-        ends[0] = (_U_MIN, math.sqrt(knots[1]))
-    # geometric panels whose end points differ by a factor 2 at most ...
-    parts = [np.geomspace(u, v, math.ceil(math.log2(v / u)) + 1)
-             if u > 0 and v > 2 * u else np.array([u, v]) for u, v in ends]
-    a = np.concatenate([e[:-1] for e in parts])
-    b = np.concatenate([e[1:] for e in parts])
-    sq = np.arange(a.size) < (parts[0].size - 1 if singular else 0)
-    # ... halved where the log-integrand spreads by more than _SPAN at an
-    # end of the p range, unless negligible there; the panels negligible
-    # at both ends (and so for every p between) are dropped: the tail cut
+_TOO_MANY = "the quadrature of J needs too many panels"
+_UNSETTLED = "the quadrature panels of J did not settle"
+_NO_TAIL_CUT = ("no tail cut: p too close to the critical exponent or kernel "
+                "decay too slow")
+
+
+class _Panels(NamedTuple):
+    """The panels a rule starts from on the rays `sides` (their signs),
+    none of which depends on p: ends a, b, the flags sq of the panels that
+    take t = u^2, the index of each panel's ray (None for one ray), the
+    terms of `_samples`, and ref, the largest ln J at rho0/2 along the
+    kernel's rays."""
+    sides: tuple
+    a: np.ndarray
+    b: np.ndarray
+    sq: np.ndarray
+    ray: Optional[np.ndarray]
+    t: np.ndarray
+    lj: np.ndarray
+    log_width: np.ndarray
+    log_t2: np.ndarray
+    ref: float
+
+
+def _first_panels(k, knots, singular, sides):
+    """The _Panels of a rule over `knots` on the rays `sides`: on each ray
+    whose support edge passes knots[0], geometric panels between the cuts
+    (the knots between, the support edge, the kernel's jumps, |y| = 1 and
+    rho0/2) whose end points differ by a factor 2 at most; singular
+    kernels take t = u^2 on the first interval, down to u = _U_MIN."""
+    start, stop = knots[0], knots[-1]
+    multi = len(sides) > 1
+    a, b, sq, ray = [], [], [], []
+    for i, side in enumerate(sides):
+        edge = min(side * k.support[side > 0], stop)
+        if edge <= start:
+            continue
+        cuts = {1.0, k.rho0 / 2, *knots} | {side * j for j in k.jumps}
+        ts = sorted({start, edge} | {c for c in cuts if start < c < edge})
+        ends = list(zip(ts[:-1], ts[1:]))
+        if singular:
+            ends[0] = (_U_MIN, math.sqrt(ts[1]))
+        parts = [np.geomspace(u, v, math.ceil(math.log2(v / u)) + 1)
+                 if u > 0 and v > 2 * u else np.array([u, v])
+                 for u, v in ends]
+        a.append(np.concatenate([e[:-1] for e in parts]))
+        b.append(np.concatenate([e[1:] for e in parts]))
+        sq.append(np.arange(a[-1].size)
+                  < (parts[0].size - 1 if singular else 0))
+        if multi:
+            ray.append(np.full(a[-1].size, i))
+    # one ray's arrays as they are, else joined (empty if no ray passes)
+    a, b, sq = (x[0] if len(x) == 1 else np.concatenate([e, *x]) for x, e
+                in ((a, []), (b, []), (sq, np.zeros(0, bool))))
+    ray = np.concatenate([np.zeros(0, int), *ray]) if multi else None
+    ref = max(float(_log_bound(k, k.rho0 / 2, side)) for side in _rays(k)[1])
+    return _Panels(sides, a, b, sq, ray, *_samples(k, sides, a, b, sq, ray),
+                   ref)
+
+
+def _log_bound(k, t, side):
+    """ln J at the radii t along the ray `side` (a sign, or a column of
+    them), plus ln max(t, 1) in 2-D: the panel tests bound the integrand by
+    t^2 e^{pt} J in 1-D, and in 2-D the polar r adds a factor, bounded by
+    max(r, 1)."""
+    out = k.log_j(side * t)
+    return out + np.log(np.maximum(t, 1.0)) if k.dimension == 2 else out
+
+
+def _samples(k, sides, a, b, sq, ray):
+    """At the _SAMPLES points t of the panels [a, b] (t = u^2 where sq):
+    t, the log-bound of the integrand, and the two size terms of the
+    tail-cut test, ln(t_end - t_start) and 2 ln max(t_end, 1)."""
+    v = a[:, None] + (b - a)[:, None] * _SAMPLES
+    t = np.where(sq[:, None], v * v, v)
+    side = sides[0] if ray is None else np.asarray(sides)[ray][:, None]
+    return (t, _log_bound(k, t, side), np.log(t[:, -1] - t[:, 0]),
+            2 * np.log(np.maximum(t[:, -1], 1.0)))
+
+
+def _refine(k, panels, p_ends, floor):
+    """Nodes y = side t, t > 0, and weights along the rays of `panels`,
+    resolving e^{pt} J(side t) for every p in p_ends down to e^floor: one
+    bisection over the first panels of every ray.  A panel is halved where the
+    log-integrand spreads by more than _SPAN at an end of the p range,
+    unless negligible there; the panels negligible at both ends (and so
+    for every p between) are dropped, the tail cut.  A panel that needs
+    no halving is finished and leaves the loop, so each round tests only
+    the new halves.  Each ray's panels come out in the order a loop over
+    that ray alone keeps them (its finished panels first, then each
+    round's left halves, then its right halves), and the rays fail as
+    those loops would, one after the other."""
+    sides, a, b, sq, ray, t, lj, log_width, log_t2, _ = panels
+    multi = ray is not None
+    if multi:
+        sign = np.asarray(sides)[:, None]
+        count = np.zeros(len(sides), int)
+    else:
+        ps, count = [sides[0] * p for p in p_ends], 0
+    done, failed = [], {}
     for _ in range(64):
-        v = a[:, None] + (b - a)[:, None] * _SAMPLES
-        t = np.where(sq[:, None], v * v, v)
-        lj = logj(t)
-        phi = np.stack([p * t + lj for p in p_ends])
+        if multi:
+            ps = [sign[ray] * p for p in p_ends]
+        phi = [p * t + lj for p in ps]
+        phi = np.stack(phi) if len(phi) > 1 else phi[0][None]
         top = phi.max(axis=-1)
-        tiny = (top + np.log(t[:, -1] - t[:, 0])
-                + 2 * np.log(np.maximum(t[:, -1], 1.0)) < floor)
+        tiny = top + log_width + log_t2 < floor
         fine = tiny | (top - phi.min(axis=-1) <= _SPAN)
         keep = ~tiny.all(axis=0)
         split = keep & ~fine.all(axis=0)
         whole = keep & ~split
-        mid = 0.5 * (a + b)
-        a = np.concatenate([a[whole], a[split], mid[split]])
-        b = np.concatenate([b[whole], mid[split], b[split]])
-        sq = np.concatenate([sq[whole], sq[split], sq[split]])
+        done.append((a[whole], b[whole], sq[whole],
+                     ray[whole] if multi else None))
         if not split.any():
             break
-        if a.size > _MAX_PANELS:
-            raise NonConvergence("the quadrature of J needs too many panels")
+        mid = 0.5 * (a + b)
+        a = np.concatenate([a[split], mid[split]])
+        b = np.concatenate([mid[split], b[split]])
+        sq = np.concatenate([sq[split], sq[split]])
+        if not multi:
+            count += done[-1][0].size
+            if count + a.size > _MAX_PANELS:
+                raise NonConvergence(_TOO_MANY)
+        else:
+            ray = np.concatenate([ray[split], ray[split]])
+            count += np.bincount(done[-1][3], minlength=len(sides))
+            over = count + np.bincount(ray, minlength=len(sides)) > _MAX_PANELS
+            if over.any():
+                # a later ray's failure waits for the rays before it
+                for r in np.flatnonzero(over):
+                    failed.setdefault(int(r), _TOO_MANY)
+                if 0 in failed:
+                    raise NonConvergence(_TOO_MANY)
+                live = ~over[ray]
+                a, b, sq, ray = a[live], b[live], sq[live], ray[live]
+                if not a.size:
+                    break
+        t, lj, log_width, log_t2 = _samples(k, sides, a, b, sq, ray)
     else:
-        raise NonConvergence("the quadrature panels of J did not settle")
-    if b.size and b.max() >= _FAR:
-        raise NonConvergence(
-            "no tail cut: p too close to the critical exponent or kernel "
-            "decay too slow")
+        if not multi:
+            raise NonConvergence(_UNSETTLED)
+        for r in np.unique(ray):
+            failed.setdefault(int(r), _UNSETTLED)
+    if len(done) > 1:
+        a, b, sq, ray = (None if x[0] is None else np.concatenate(x)
+                         for x in zip(*done))
+    else:
+        a, b, sq, ray = done[0]
+    if multi:
+        order = np.argsort(ray, kind="stable")
+        a, b, sq, ray = a[order], b[order], sq[order], ray[order]
+        far = set(ray[b >= _FAR].tolist())
+        for r in range(len(sides)):
+            if r in failed or r in far:
+                raise NonConvergence(failed.get(r, _NO_TAIL_CUT))
+    elif b.size and b.max() >= _FAR:
+        raise NonConvergence(_NO_TAIL_CUT)
     half = 0.5 * (b - a)[:, None]
     v = 0.5 * (a + b)[:, None] + half * _GL_X
     w = half * _GL_W
     sq = sq[:, None]
-    return np.where(sq, v * v, v).ravel(), np.where(sq, 2 * v * w, w).ravel()
+    side = np.repeat(sign[ray, 0], _GL_X.size) if multi else sides[0]
+    return side * np.where(sq, v * v, v).ravel(), np.where(
+        sq, 2 * v * w, w).ravel()
 
 
 def _rays(k):
@@ -410,45 +530,33 @@ def _rays(k):
     return k.log_j, (1.0,) if k.dimension == 2 else (1.0, -1.0)
 
 
-def _ray_rule(k, knots, singular, p_ends=(0.0,), log_below=math.inf):
+def _ray_rule(k, knots, singular, p_ends=(0.0,), log_below=math.inf,
+              kept=None):
     """Nodes y (signed in 1-D, the radii in 2-D) and weights w (with the
     polar 2 pi r in 2-D) for the integral over knots[0] <= |y| <= knots[-1]
     of e^{p.y} times J and powers of |y| up to 2, for every p in p_ends
     (in 2-D p is |p|).  The panels are cut at the knots between, at the
     support edges, the kernel's jumps, |y| = 1 and rho0/2, and dropped
     below 1e-24 of J(rho0/2) and of e^log_below; singular kernels take
-    y = u^2 on the first interval."""
-    lnj, sides = _rays(k)
+    y = u^2 on the first interval.  Every ray is refined in one loop
+    (`_refine`).  The first panels do not depend on p: given a dict
+    `kept`, they are taken from it, or made and kept there."""
     radial = k.dimension == 2
-    start, stop = knots[0], knots[-1]
-
-    def logj(t, side):
-        # the panel tests bound the integrand by t^2 e^{pt} J in 1-D; in
-        # 2-D the polar r adds a factor, bounded by max(r, 1)
-        out = lnj(side * t)
-        return out + np.log(np.maximum(t, 1.0)) if radial else out
-
-    floor = _LOG_TINY + min(log_below, max(float(logj(k.rho0 / 2, side))
-                                           for side in sides))
     # a symmetric 1-D kernel on a p range closed under negation: the rule
     # of the side y < 0 is the mirror image of the side y > 0
     mirror = (k.symmetric and not radial
               and sorted(p_ends) == sorted(-p for p in p_ends))
-    ys, ws = [np.zeros(0)], [np.zeros(0)]
-    for side in sides[:1] if mirror else sides:
-        edge = min(side * k.support[side > 0], stop)
-        if edge <= start:
-            continue
-        cuts = {1.0, k.rho0 / 2, *knots} | {side * j for j in k.jumps}
-        ts = sorted({start, edge} | {c for c in cuts if start < c < edge})
-        t, w = _side_rule(lambda t: logj(t, side), ts, singular,
-                          [side * p for p in p_ends], floor)
-        ys.append(side * t)
-        ws.append(w)
+    sides = _rays(k)[1]
+    sides = sides[:1] if mirror else sides
+    key = (tuple(knots), singular, sides)
+    panels = None if kept is None else kept.get(key)
+    if panels is None:
+        panels = _first_panels(k, knots, singular, sides)
+        if kept is not None:
+            kept[key] = panels
+    y, w = _refine(k, panels, p_ends, _LOG_TINY + min(log_below, panels.ref))
     if mirror:
-        ys.append(-ys[-1])
-        ws.append(ws[-1])
-    y, w = np.concatenate(ys), np.concatenate(ws)
+        y, w = np.concatenate([y, -y]), np.concatenate([w, w])
     return y, 2 * math.pi * y * w if radial else w
 
 
@@ -490,8 +598,11 @@ def levy_integral(kernel):
 
 
 def tail_reach(kernel, tol=1e-16):
-    """Radius beyond which the kernel tail mass is below tol: the first
-    rung of the ladder max(2, 2 rho0) 1.5^k at which it is."""
+    """Radius beyond which the kernel tail mass is below tol, a real in
+    (0, 1) (ValidationError otherwise): the first rung of the ladder
+    max(2, 2 rho0) 1.5^k at which it is."""
+    _require(_finite_real(tol) and 0 < tol < 1,
+             f"tol must be a real in (0, 1), not {tol!r}")
     if kernel.is_compact:
         return kernel.tail.rho
     if kernel.family == "asymmetric_1d_demo":

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -213,6 +214,94 @@ def test_one_rule_per_octave(compact_kernel, monkeypatch):
     # a table over [-P, P] of a symmetric kernel takes the rule of P
     HTable(Hamiltonian.from_params(params), np.linspace(-3.5, 3.5, 201))
     assert len(builds) == 2
+
+
+# the kernels of the point-query benchmark, in 1-D and 2-D
+_POINT_QUERY_KERNELS = [
+    ("compact_uniform", 1, {"rho": 1.0}), ("exp_linear", 1, {"alpha": 1.0}),
+    ("exp_power", 1, {"alpha": 2.0}), ("asymmetric_1d_demo", 1, {}),
+    ("tempered_stable", 1, {"alpha": 0.5, "lam": 1.0}),
+    ("compact_uniform", 2, {"rho": 1.0}), ("exp_power", 2, {"alpha": 2.0})]
+
+
+def _ladder(k):
+    """Rungs of the engine's ladder: 0, octaves 2^j and edge (1 - 2^-j)
+    below a finite domain edge, of both signs in 1-D."""
+    lo, hi = k.p_domain
+    rungs = [0.0]
+    sides = ((1.0, hi), (-1.0, -lo)) if k.dimension == 1 else ((1.0, hi),)
+    for sign, edge in sides:
+        rungs += [sign * 2.0 ** j for j in range(-8, 6) if 2.0 ** j < edge]
+        if math.isfinite(edge):
+            rungs += [sign * edge * (1 - 2.0 ** -j) for j in (1, 3, 8, 19)]
+    return rungs
+
+
+def _as_bytes(part):
+    """Every array and number of a rule, as bytes."""
+    if isinstance(part, (tuple, list)):
+        return [b for p in part for b in _as_bytes(p)]
+    return [np.asarray(part).tobytes()]
+
+
+@pytest.mark.parametrize("family,dimension,params", _POINT_QUERY_KERNELS,
+                         ids=[f"{f}_{d}d" for f, d, _ in _POINT_QUERY_KERNELS])
+def test_a_rule_built_warm_equals_one_built_cold(family, dimension, params):
+    # the first panels a Hamiltonian keeps serve its later rules, which
+    # equal the rules of a fresh Hamiltonian bit for bit
+    k = build_kernel(family, dimension, params)
+    warm = HamiltonianParams(kernel=k)
+    for rung in _ladder(k):
+        for essential in (False, True):
+            cold = HamiltonianParams(kernel=k)
+            ends = (min(rung, 0.0), max(rung, 0.0), essential)
+            assert _as_bytes(ham._rule(warm, *ends)) == _as_bytes(
+                ham._rule(cold, *ends))
+    # one set of first panels per essential flag, and per mirrored rule
+    assert 2 <= len(warm._panels) <= 4
+
+
+def test_engine_stats_count_what_a_spy_sees(monkeypatch):
+    built, calls = [], []
+    rule, one_signed = ham._rule, ham._one_signed
+
+    def rule_spy(*args):
+        out = rule(*args)
+        built.append(out[0].size)
+        return out
+
+    def call_spy(params, ps, *args):
+        calls.append(ps.size)
+        return one_signed(params, ps, *args)
+
+    monkeypatch.setattr(ham, "_rule", rule_spy)
+    monkeypatch.setattr(ham, "_one_signed", call_spy)
+    h = Hamiltonian.from_kernel(build_kernel("exp_power", 1, {"alpha": 2.0}))
+    stats = h.params.stats
+    assert (stats.rule_builds, stats.rule_hits, stats.build_s) == (0, 0, 0.0)
+
+    def agrees():
+        assert stats.rule_nodes == built
+        assert stats.rule_builds == len(built)
+        assert stats.rule_hits == len(calls) - len(built)
+
+    start = time.perf_counter()
+    Lagrangian(h)(1.5)                  # a cold L solve
+    agrees()
+    assert stats.rule_builds >= 1
+    builds, hits = stats.rule_builds, stats.rule_hits
+    for p in (5.0, 5.5, 6.0, 7.5):      # one rung, 8, unseen by the solve
+        h.value(p)
+    agrees()
+    assert (stats.rule_builds, stats.rule_hits) == (builds + 1, hits + 3)
+    h.value(12.0)                       # a second rung, 16
+    h.value(-12.0)                      # on the rule of 12
+    agrees()
+    assert (stats.rule_builds, stats.rule_hits) == (builds + 2, hits + 4)
+    eval_h_ess(h.params, 1.5)           # the essential rule of rung 2
+    agrees()
+    assert stats.rule_builds == builds + 3
+    assert 0.0 < stats.build_s < time.perf_counter() - start
 
 
 # every symmetric 1-D family; the uncompensated form where it exists

@@ -158,6 +158,21 @@ def test_grid_rejects_non_finite_and_empty_values(kwargs):
         HJGrid(**{**dict(n=9, T=1.0, A=1.0), **kwargs})
 
 
+@pytest.mark.parametrize("n", [3.5, 9.0, np.float64(9.0), True, "9"])
+def test_grid_requires_an_integer_n(n):
+    # 3.5 and 9.0 once passed, then failed in np.linspace or np.pad
+    with pytest.raises(ValidationError):
+        HJGrid(n=n, T=1.0, A=1.0)
+
+
+def test_grid_takes_a_numpy_integer_n():
+    grid = HJGrid(n=np.int64(9), T=0.5, A=2.0)
+    plain = HJGrid(n=9, T=0.5, A=2.0)
+    assert np.array_equal(grid.x, plain.x) and grid.h == plain.h
+    assert np.array_equal(solve_hj(quadratic_h(), grid).at_time(0.5).values,
+                          solve_hj(quadratic_h(), plain).at_time(0.5).values)
+
+
 @pytest.fixture
 def tables(monkeypatch):
     """The H tables the solvers build, in order."""

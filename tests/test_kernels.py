@@ -7,8 +7,8 @@ from scipy.special import exp1, gamma, gammainc, gammaincc
 
 import _quad_oracle as Q
 import ldp.kernels as kern
-from ldp import (ValidationError, build_kernel, kernel_from_dict,
-                 load_kernel, scaled_kernel, tail_reach)
+from ldp import (Hamiltonian, NonConvergence, ValidationError, build_kernel,
+                 kernel_from_dict, load_kernel, scaled_kernel, tail_reach)
 from ldp.kernels import (_FAR, CompactTail, CriticalTail, IntermediateTail,
                          _ray_integrals, _ray_rule, is_essentially_ordered,
                          levy_integral)
@@ -206,14 +206,14 @@ _ONE_D = [("compact_uniform", {"rho": 1.0}),
 def test_ray_integrals_build_one_side_of_a_symmetric_kernel(
         family, params, monkeypatch):
     k = build_kernel(family, 1, params)
-    builds = []
-    side_rule = kern._side_rule
+    builds = []     # one entry per ray refined
+    refine = kern._refine
 
-    def spy(*args):
-        builds.append(args)
-        return side_rule(*args)
+    def spy(k, panels, *args):
+        builds.extend(panels.sides)
+        return refine(k, panels, *args)
 
-    monkeypatch.setattr(kern, "_side_rule", spy)
+    monkeypatch.setattr(kern, "_refine", spy)
     for n, knots in ((0, (0.0, 1.0, _FAR)), (2, (0.0, 1.0))):
         builds.clear()
         _ray_integrals(k, n, knots)
@@ -232,3 +232,97 @@ def test_mirrored_rule_equals_both_sides_built(family, params, p_ends):
                      singular, p_ends)
     for a, b in zip(mirrored, both):
         assert np.array_equal(a, b)
+
+
+def _outcome(f):
+    """The arrays f returns, as bytes, or the message of its
+    NonConvergence."""
+    try:
+        return [a.tobytes() for a in f()]
+    except NonConvergence as e:
+        return str(e)
+
+
+def _one_ray_at_a_time(k, knots, singular, p_ends):
+    """_ray_rule of a 1-D kernel with its rays refined one after the
+    other, each alone."""
+    ys, ws = [], []
+    for side in (1.0, -1.0):
+        panels = kern._first_panels(k, knots, singular, (side,))
+        y, w = kern._refine(k, panels, p_ends, kern._LOG_TINY + panels.ref)
+        ys.append(y)
+        ws.append(w)
+    return np.concatenate(ys), np.concatenate(ws)
+
+
+_DEMO = build_kernel("asymmetric_1d_demo", 1)
+# two-sided kernels whose rays fail apart: _WIGGLE's ln J swings by 40
+# every 3e-4 on y < 0 (too many panels there), _SLOW's also decays too
+# slowly for a tail cut on y > 0, and _UNDECLARED's drops by a factor 1e-9
+# on (0.3, 0.6), jumps it does not declare (the halving never settles)
+_WIGGLE = replace(_DEMO, log_j=lambda y: np.where(
+    y < 0, 20 * np.sin(1e4 * y), np.where(y <= 1.0, 0.0, -np.inf)),
+    support=(-1.0, 1.0))
+_SLOW = replace(_WIGGLE, log_j=lambda y: np.where(
+    y < 0, 20 * np.sin(1e4 * y), -1e-9 * y), support=(-1.0, math.inf),
+    jumps=())
+_UNDECLARED = replace(_DEMO, log_j=lambda y: _DEMO.log_j(y) + np.where(
+    (y > 0.3) & (y < 0.6), math.log(1e-9), 0.0))
+
+
+def _errstate(k):
+    # the halving at an undeclared jump reaches panels one ulp wide, whose
+    # zero-width halves take ln 0 = -inf in the tail-cut test: dropped
+    return np.errstate(divide="ignore" if k is _UNDECLARED else "warn")
+
+
+@pytest.mark.parametrize("k", [build_kernel(f, 1, p) for f, p in _ONE_D]
+                         + [_WIGGLE, _SLOW, _UNDECLARED],
+                         ids=[f for f, _ in _ONE_D]
+                         + ["wiggle", "slow", "undeclared"])
+@pytest.mark.parametrize("p_ends", [(0.0,), (0.0, 1.0), (-0.5, 0.0),
+                                    (-1.0, 0.0, 2.0),
+                                    (0.0, 0.999999), (-0.999999, 0.0),
+                                    (0.0, 1e6)])
+def test_one_loop_equals_each_ray_refined_alone(k, p_ends):
+    # the counterpart of test_mirrored_rule_equals_both_sides_built: the
+    # same nodes and weights, bit for bit, and the same NonConvergence,
+    # the first ray's before the second's
+    lo, hi = k.p_domain
+    p_ends = tuple(min(max(p, lo * (1 - 1e-9)), hi * (1 - 1e-9))
+                   for p in p_ends)
+    knots, singular = (0.0, 0.5, _FAR), k.singularity_exponent > 0
+    two_sided = replace(k, symmetric=False)     # never mirrored
+    with _errstate(k):
+        joint = _outcome(lambda: _ray_rule(two_sided, knots, singular,
+                                           p_ends))
+        alone = _outcome(lambda: _one_ray_at_a_time(two_sided, knots,
+                                                    singular, p_ends))
+    assert joint == alone
+
+
+@pytest.mark.parametrize("k,p_ends,message", [
+    (_WIGGLE, (0.0, 1.0), "too many panels"),   # only y < 0 fails
+    (_SLOW, (0.0,), "no tail cut"),             # y > 0 fails first
+    (_UNDECLARED, (0.0, 1.0), "did not settle"),
+    (build_kernel("compact_uniform", 1, {"rho": 1.0}), (0.0, 1e6),
+     "too many panels")])
+def test_refinement_limits_raise(k, p_ends, message):
+    with _errstate(k), pytest.raises(NonConvergence, match=message):
+        _ray_rule(k, (0.0, 0.5, _FAR), False, p_ends)
+
+
+def test_h_at_a_huge_p_needs_too_many_panels(compact_kernel):
+    with pytest.raises(NonConvergence, match="too many panels"):
+        Hamiltonian.from_kernel(compact_kernel).value(1e6)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 2.0, math.inf, 1.0])
+@pytest.mark.parametrize("family,params", [
+    ("exp_power", {"alpha": 2.0}), ("compact_uniform", {"rho": 1.0}),
+    ("asymmetric_1d_demo", {})])
+def test_tail_reach_requires_a_tol_in_the_unit_interval(family, params, tol):
+    # on exp_power 0 and -1 raised a bare ValueError, nan NonConvergence,
+    # and 2 and inf returned 2.0
+    with pytest.raises(ValidationError):
+        tail_reach(build_kernel(family, 1, params), tol)
