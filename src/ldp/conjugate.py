@@ -3,18 +3,27 @@ log-weight, and its inverse.
 
 L(q) = sup_p { p.q - H(p) } solves the stationarity equation DH(p) = q
 (DH is strictly increasing along rays) for a whole array of q at once,
-element by element, after Press et al.'s rtsafe (Numerical Recipes,
-section 9.4): from p = 0 each element brackets its root, by halving the
-distance to a finite edge of the domain of H or by doubling steps, backing
-off where H overflows; then Newton steps inside the bracket, bisecting
-where Newton leaves it or fails to halve the step before last.  Where H'
-never reaches q the supremum is attained at the domain edge, taken as
-the engine's inner edge (`ldp.hamiltonian._inner_domain`, which owns the
-margin).  Each iteration makes one engine call for all active q, of both
+element by element, by a safeguarded Newton iteration after Press et
+al.'s rtsafe (Numerical Recipes, section 9.4).  One engine call at p0 = 0
+(inside the domain of H near 0 where 0 is on its edge) gives H'(p0) and
+H''(p0).  In x = s (p - p0) >= 0, s the sign of q - H'(p0), each element
+then takes Newton steps on ln(s (H'(p) - H'(p0))) - ln|q - H'(p0)|,
+which is close to linear in x for the exponential and compact tails of
+the kernels: the iteration neither creeps one unit of ln H' per step, as
+Newton on H' itself does, nor needs a bracket found by doubling steps
+first.  The first step is the tangent of H' at p0, at most halfway to a
+finite edge of the domain of H.  A step that leaves the bracket kept
+around the root bisects it, and a trial where H overflows is halved
+back.  Where H' never reaches q the supremum is
+attained at the domain edge, taken as the engine's inner edge
+(`ldp.hamiltonian._inner_domain`, which owns the margin).  Each iteration
+makes one engine call, H' and H'' together, for all active q of both
 signs (the engine splits the batch by sign), so a result depends on
-nothing but its q.  A radial H in 2-D is solved so along the ray of q,
-any other by one trust-region Newton iteration over the batch (Conn,
-Gould & Toint, Trust-Region Methods, 2000).
+nothing but its q; `ConjugateResult.iterations` counts these calls.  A
+radial H in 2-D is solved so along the ray of q, any other by one
+trust-region Newton iteration over the batch (Conn, Gould & Toint,
+Trust-Region Methods, 2000), whose iterations are its `derivatives`
+calls.
 
 K(p) = sup_y { p.y - |y| omega(y) } with omega(y) = -ln J(y) / |y|.  For
 compact kernels the log-weight is flat on the support at the scale that
@@ -85,18 +94,80 @@ def _step_back(f, p, pn):
     return out, kept
 
 
+def _ray(q, g0, p0, h1, c0, edge):
+    """The root of H'(p) = q on the side s = sign(g0) of p0, where g0 = q -
+    H'(p0), h1 = H'(p0) and c0 = H''(p0), as a generator: it yields each
+    trial p with the last trial short of the root, is sent back the p the
+    engine took (`_step_back` moves it towards that point where H
+    overflows), H'(p) and H''(p), and returns the maximiser, |q - H'(p)|
+    there, the trials made and whether the maximiser is the inner edge
+    `edge` of the domain on that side (+-inf where the domain is open).
+
+    In x = s (p - p0) >= 0 the root is the zero of the increasing phi(x) =
+    ln(s (H'(p) - h1)) - ln|g0|, close to linear in x where H' grows
+    exponentially.  The first trial is the root of the tangent of H' at
+    p0, or halfway to a finite edge if that is nearer (a batch takes the
+    rule of its largest |p|, which costs more next to an edge), then each
+    is a Newton step on phi, unless the step leaves the bracket (xa, top):
+    then it bisects the bracket.  xa is the last trial
+    short of the root; top is xb, the last trial past it (or where H
+    overflowed) or the edge, and while xb is an open side, 4 max(1, xa)
+    ahead of xa.  Towards a finite edge not yet passed, trial 41 is the
+    edge itself, and a trial short of the root within 1e-13 max(1, |edge|)
+    of the edge ends there.  The iteration stops at |q - H'(p)| <=
+    max(min(1e-10, 1e-4 |g0|), 1e-12 |q|), or where no float lies nearer
+    the root: the bracket narrower than 1e-15 (1 + |p|), or a Newton step
+    that does not move x."""
+    s, size = math.copysign(1.0, g0), abs(g0)
+    ln_size = math.log(size)
+    tol = max(min(1e-10, 1e-4 * size), 1e-12 * abs(q))
+    xe = s * (edge - p0)
+    near = xe - 1e-13 * max(1.0, abs(edge))
+    xa, xb = 0.0, xe
+    x = min(size / c0, 0.5 * xe) if c0 > 0 else math.nan
+    for k in range(1, _MAX_ITER + 1):
+        top = xb if xb < math.inf else xa + 4.0 * (xa if xa > 1.0 else 1.0)
+        if not xa < x < top:
+            x = 0.5 * (xa + top)
+        if k == 41 and xb == xe < math.inf:
+            x = xe
+        p = p0 + s * x
+        taken, G, C = yield p, p0 + s * xa
+        if taken != p:
+            xb, x, p = x, s * (taken - p0), taken
+        g = s * (q - G)             # falls with x
+        if -tol <= g <= tol:
+            return p, abs(g), k, False
+        if g > 0:
+            if x > near:
+                return edge, 0.0, k, True
+            xa = x
+        else:
+            xb = x
+        if xb - xa < 1e-15 * (1.0 + abs(p)):
+            return p, abs(g), k, False
+        D = s * (G - h1)
+        step = (math.log(D) - ln_size) * D / C if D > 0 < C else math.nan
+        if x - step == x:
+            return p, abs(g), k, False
+        x -= step
+    raise NonConvergence(f"conjugate solve did not converge for q={q}")
+
+
 def _solve(h: Hamiltonian, qs):
     """sup_p (p q - H(p)) for every q of the 1-D array qs (|q| along a ray
-    for a radial H): values, maximisers, residuals, iterations and
-    boundary hits, as arrays.  Each phase keeps its active elements packed
-    and drops those that finish."""
+    for a radial H): values, maximisers, residuals, iterations (the trials
+    of `_ray`, each one engine call) and boundary hits, as arrays.  One
+    engine call at p0 gives H'(p0) and H''(p0); then every iteration makes
+    one engine call for the trials of all unfinished q, and a last one
+    takes H at the maximisers."""
     plo, phi = _inner_domain(h.domain)
     p0 = 0.0 if plo < 0.0 < phi else 0.5 * (max(plo, -1.0) + min(phi, 1.0))
-    g0 = qs - h.batch([p0], (1,))[0, 0]     # g = q - H'(p) falls with p
+    (h1,), (c0,) = h.batch([p0], (1, 2)).tolist()
+    g0 = qs - h1                # g = q - H'(p) falls with p
     m = qs.size
     p, resid = np.full(m, p0), np.zeros(m)
     it, hit = np.zeros(m, dtype=int), np.zeros(m, dtype=bool)
-    a, b = np.empty(m), np.empty(m)
     # --- where |g0| <= 1e-10 the engine resolves H' too coarsely for a
     # stop relative to g0 (its absolute error is about 1e-17 near p0, and
     # H' reads 0 below p = 1e-16 for some kernels), while the tangent at
@@ -104,88 +175,28 @@ def _solve(h: Hamiltonian, qs):
     far = np.abs(g0) > 1e-10
     lin = ~far & (g0 != 0)
     if lin.any():
-        c0 = h.batch([p0], (2,))[0, 0]
         p[lin] = np.clip(p0 + g0[lin] / c0 if c0 > 0 else p0, plo, phi)
-    # --- bracket the root of g where neither solves g = 0: towards a
-    # finite edge by halving the distance to it (onto it after 40
-    # halvings), else by doubling steps.  pi is the last point short of
-    # the root; the edge is hit when pi comes within 1e-13 of it.
-    i = np.flatnonzero(far)
-    s = np.sign(g0[i])
-    edge = np.where(s > 0, phi, plo)
-    fin = np.isfinite(edge)
-    close = 1e-13 * np.maximum(1.0, np.abs(edge))
-    pi, Q = p[i], qs[i]
-    step = max(1.0, abs(p0))
-    for k in range(1, _MAX_ITER + 1):
-        if not i.size:
-            break
-        pn = pi + s * step
-        step *= 2
-        if fin.any():
-            pn = np.where(fin, edge if k > 40 else pi + (edge - pi) * 0.5, pn)
+    # --- every other q runs its own `_ray`; each iteration takes the
+    # trials of all of them in one engine call
+    rays = {j: _ray(q, g, p0, h1, c0, phi if g > 0 else plo)
+            for j, q, g in zip(np.flatnonzero(far).tolist(),
+                               qs[far].tolist(), g0[far].tolist())}
+    trials = {j: next(ray) for j, ray in rays.items()}
+    while trials:
+        P = np.array([t for t, _ in trials.values()])
         try:
-            G = h.batch(pn, (1,))[0]
+            G, C = h.batch(P, (1, 2))
         except NonConvergence:
-            G = np.concatenate(_step_back(lambda x: h.batch(x, (1,))[0], pi,
-                                          pn)[0])
-        done = cross = s * (Q - G) <= 0
-        if fin.any():
-            done = cross | (np.abs(edge - pn) < close)
-        if done.any():
-            j = i[done]
-            it[j], hit[j] = k, ~cross[done]
-            a[j] = np.minimum(pi, pn)[done]
-            b[j] = np.maximum(pi, pn)[done]
-            keep = ~done
-            i, s, edge, fin, close, Q, pn = (
-                v[keep] for v in (i, s, edge, fin, close, Q, pn))
-        pi = pn
-    # never crossed: the supremum lies on the domain edge
-    it[i], hit[i] = _MAX_ITER, True
-    p[hit] = np.where(g0[hit] > 0, phi, plo)
-    # --- safeguarded Newton inside [a, b], to |g| <= 1e-10, or 1e-12 |q|
-    # for large q, or 1e-4 |g0| near the root of g at p0 -----------------
-    i = np.flatnonzero(far & ~hit)
-    A, B, Q, kb = a[i], b[i], qs[i], it[i]
-    T = np.maximum(np.minimum(1e-10, 1e-4 * np.abs(g0[i])), 1e-12 * np.abs(Q))
-    P = 0.5 * (A + B)
-    G, C = h.batch(P, (1, 2))
-    G = Q - G
-    dx = dx_old = B - A             # |last step| and |the one before|
-    done, last = np.abs(G) <= T, np.zeros(i.size, dtype=bool)
-    for n in range(1, _MAX_ITER + 1):
-        # finished: converged at the top of iteration n, or the bracket
-        # collapsed at the end of iteration n - 1
-        if done.any():
-            j = i[done]
-            p[j], resid[j] = P[done], np.abs(G[done])
-            it[j] = kb[done] + n - last[done]
-            keep = ~done
-            i, A, B, Q, kb, T, P, G, C, dx, dx_old = (
-                v[keep] for v in (i, A, B, Q, kb, T, P, G, C, dx, dx_old))
-        if not i.size:
-            break
-        right = G > 0
-        np.copyto(A, P, where=right)
-        np.copyto(B, P, where=~right)
-        step = G / np.where(C > 0, C, np.nan)
-        size = np.abs(step)
-        pn = P + step
-        # Newton while it stays inside [a, b] and at least halves the step
-        # before last, else bisect: Newton alone creeps along an
-        # exponentially steep H' one unit of ln H' per step
-        newton = (A < pn) & (pn < B) & (size + size <= dx_old)
-        step = np.where(newton, step, 0.5 * (A + B) - P)
-        dx_old, dx = dx, np.abs(step)
-        P = P + step
-        G, C = h.batch(P, (1, 2))
-        G = Q - G
-        last = B - A < 1e-15 * np.maximum(1.0, np.abs(A) + np.abs(B))
-        done = last | (np.abs(G) <= T)
-    else:
-        raise NonConvergence(
-            f"conjugate solve did not converge for q={Q[0]}")
+            short = np.array([a for _, a in trials.values()])
+            out, _ = _step_back(lambda x: h.batch(x, (1, 2)), short, P)
+            G, C = np.concatenate(out, axis=1)
+        for j, sent in zip(list(trials), zip(P.tolist(), G.tolist(),
+                                             C.tolist())):
+            try:
+                trials[j] = rays[j].send(sent)
+            except StopIteration as end:
+                p[j], resid[j], it[j], hit[j] = end.value
+                del trials[j]
     # --- the value at the maximiser, H' too for the residual at the edge
     # and at the tangent's root ------------------------------------------
     Hv = np.empty(m)

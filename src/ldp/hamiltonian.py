@@ -116,6 +116,12 @@ class EngineStats:
     def rule_builds(self):
         return len(self.rule_nodes)
 
+    @property
+    def calls(self):
+        """Every engine call, one per one-signed half of a batch: each
+        builds its rule or finds it built."""
+        return self.rule_builds + self.rule_hits
+
 
 @dataclass
 class HamiltonianParams:

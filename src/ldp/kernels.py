@@ -477,7 +477,12 @@ def _refine(k, panels, p_ends, floor):
         a = np.concatenate([a[split], mid[split]])
         b = np.concatenate([mid[split], b[split]])
         sq = np.concatenate([sq[split], sq[split]])
+        # a panel one ulp wide, at a jump of ln J that `Kernel.jumps` does
+        # not list, halves into an empty panel: it never settles
+        halved = (a < b).all()
         if not multi:
+            if not halved:
+                raise NonConvergence(_UNSETTLED)
             count += done[-1][0].size
             if count + a.size > _MAX_PANELS:
                 raise NonConvergence(_TOO_MANY)
@@ -485,13 +490,14 @@ def _refine(k, panels, p_ends, floor):
             ray = np.concatenate([ray[split], ray[split]])
             count += np.bincount(done[-1][3], minlength=len(sides))
             over = count + np.bincount(ray, minlength=len(sides)) > _MAX_PANELS
-            if over.any():
+            if over.any() or not halved:
                 # a later ray's failure waits for the rays before it
-                for r in np.flatnonzero(over):
-                    failed.setdefault(int(r), _TOO_MANY)
+                stuck = np.bincount(ray[a >= b], minlength=len(sides)) > 0
+                for r in np.flatnonzero(stuck | over).tolist():
+                    failed.setdefault(r, _UNSETTLED if stuck[r] else _TOO_MANY)
                 if 0 in failed:
-                    raise NonConvergence(_TOO_MANY)
-                live = ~over[ray]
+                    raise NonConvergence(failed[0])
+                live = ~(stuck | over)[ray]
                 a, b, sq, ray = a[live], b[live], sq[live], ray[live]
                 if not a.size:
                     break

@@ -432,6 +432,54 @@ def test_batch_backs_off_where_h_overflows():
     assert batch.argmax[1, 0] > 45.0
 
 
+# engine calls of one L solve from a fresh H at q = -20, -5, -0.5, 0.5, 5
+# and 20, every maximiser inside the domain: the point_queries kernels.
+# A regression guard: a change to the iteration that moves them re-pins
+# them and says why
+_BUDGET_QS = (-20.0, -5.0, -0.5, 0.5, 5.0, 20.0)
+_BUDGET = [("compact_uniform", {"rho": 1.0}, (7, 7, 6, 6, 7, 7)),
+           ("exp_linear", {"alpha": 1.0}, (9, 8, 6, 6, 8, 9)),
+           ("exp_power", {"alpha": 2.0}, (7, 6, 6, 6, 6, 7)),
+           ("asymmetric_1d_demo", {}, (11, 7, 7, 7, 7, 7)),
+           ("tempered_stable", {"alpha": 0.5, "lam": 1.0},
+            (14, 11, 6, 6, 11, 14))]
+
+
+@pytest.mark.parametrize("family,params,calls", _BUDGET,
+                         ids=[f for f, _, _ in _BUDGET])
+def test_l_solve_engine_calls_are_pinned(family, params, calls):
+    # one call at p = 0 for H' and H'', one per iteration, and one for H
+    # at the maximiser
+    kernel = build_kernel(family, 1, params)
+    seen = []
+    for q in _BUDGET_QS:
+        h = Hamiltonian.from_kernel(kernel)
+        res = conjugate(h, q)
+        assert not res.hit_domain_boundary
+        assert h.params.stats.calls == res.iterations + 2
+        seen.append(h.params.stats.calls)
+    assert tuple(seen) == calls
+
+
+@pytest.mark.parametrize("family,params,q,most,edge", [
+    ("exp_power", {"alpha": 1.5}, -2e49, 23, False),
+    ("compact_uniform", {"rho": 1.0}, 1e300, 20, False),
+    ("exp_power", {"alpha": 2.0}, 1e250, 18, False),
+    ("super_exp", {}, 1e100, 18, False),
+    ("exp_linear", {"alpha": 1.0}, 1e12, 41, True),
+    ("tempered_stable", {"alpha": 1.5, "lam": 2.0}, 1e3, 41, True)])
+def test_far_l_solves_take_no_more_iterations(family, params, q, most, edge):
+    # `most` is what a solve that brackets the root by doubling steps and
+    # then takes Newton steps on H' needs.  Past H' at a finite edge the
+    # solve halves towards the edge and steps onto it at iteration 41
+    res = conjugate(Hamiltonian.from_kernel(build_kernel(family, 1, params)),
+                    q)
+    assert res.iterations <= most
+    assert res.hit_domain_boundary == edge
+    if not edge:
+        assert res.residual <= 1e-12 * abs(q)
+
+
 @pytest.mark.parametrize("family,params", [
     ("exp_power", {"alpha": 2.0}), ("exp_power", {"alpha": 1.5}),
     ("super_exp", {}), ("exp_linear", {"alpha": 1.0})])

@@ -279,11 +279,13 @@ def test_engine_stats_count_what_a_spy_sees(monkeypatch):
     h = Hamiltonian.from_kernel(build_kernel("exp_power", 1, {"alpha": 2.0}))
     stats = h.params.stats
     assert (stats.rule_builds, stats.rule_hits, stats.build_s) == (0, 0, 0.0)
+    assert stats.calls == 0
 
     def agrees():
         assert stats.rule_nodes == built
         assert stats.rule_builds == len(built)
         assert stats.rule_hits == len(calls) - len(built)
+        assert stats.calls == len(calls)
 
     start = time.perf_counter()
     Lagrangian(h)(1.5)                  # a cold L solve

@@ -268,18 +268,17 @@ _SLOW = replace(_WIGGLE, log_j=lambda y: np.where(
     jumps=())
 _UNDECLARED = replace(_DEMO, log_j=lambda y: _DEMO.log_j(y) + np.where(
     (y > 0.3) & (y < 0.6), math.log(1e-9), 0.0))
-
-
-def _errstate(k):
-    # the halving at an undeclared jump reaches panels one ulp wide, whose
-    # zero-width halves take ln 0 = -inf in the tail-cut test: dropped
-    return np.errstate(divide="ignore" if k is _UNDECLARED else "warn")
+# the same dip on y < 0: the ray y > 0 settles, and the failure of y < 0
+# waits for it
+_UNDECLARED_LEFT = replace(_DEMO, log_j=lambda y: _DEMO.log_j(y) + np.where(
+    (y < -0.3) & (y > -0.6), math.log(1e-9), 0.0))
 
 
 @pytest.mark.parametrize("k", [build_kernel(f, 1, p) for f, p in _ONE_D]
-                         + [_WIGGLE, _SLOW, _UNDECLARED],
+                         + [_WIGGLE, _SLOW, _UNDECLARED, _UNDECLARED_LEFT],
                          ids=[f for f, _ in _ONE_D]
-                         + ["wiggle", "slow", "undeclared"])
+                         + ["wiggle", "slow", "undeclared",
+                            "undeclared_left"])
 @pytest.mark.parametrize("p_ends", [(0.0,), (0.0, 1.0), (-0.5, 0.0),
                                     (-1.0, 0.0, 2.0),
                                     (0.0, 0.999999), (-0.999999, 0.0),
@@ -293,11 +292,9 @@ def test_one_loop_equals_each_ray_refined_alone(k, p_ends):
                    for p in p_ends)
     knots, singular = (0.0, 0.5, _FAR), k.singularity_exponent > 0
     two_sided = replace(k, symmetric=False)     # never mirrored
-    with _errstate(k):
-        joint = _outcome(lambda: _ray_rule(two_sided, knots, singular,
-                                           p_ends))
-        alone = _outcome(lambda: _one_ray_at_a_time(two_sided, knots,
-                                                    singular, p_ends))
+    joint = _outcome(lambda: _ray_rule(two_sided, knots, singular, p_ends))
+    alone = _outcome(lambda: _one_ray_at_a_time(two_sided, knots, singular,
+                                                p_ends))
     assert joint == alone
 
 
@@ -306,9 +303,10 @@ def test_one_loop_equals_each_ray_refined_alone(k, p_ends):
     (_SLOW, (0.0,), "no tail cut"),             # y > 0 fails first
     (_UNDECLARED, (0.0, 1.0), "did not settle"),
     (build_kernel("compact_uniform", 1, {"rho": 1.0}), (0.0, 1e6),
-     "too many panels")])
+     "too many panels"),
+    (_UNDECLARED_LEFT, (-1.0, 0.0), "did not settle")])
 def test_refinement_limits_raise(k, p_ends, message):
-    with _errstate(k), pytest.raises(NonConvergence, match=message):
+    with pytest.raises(NonConvergence, match=message):
         _ray_rule(k, (0.0, 0.5, _FAR), False, p_ends)
 
 
