@@ -23,7 +23,7 @@ from .conjugate import Lagrangian, k_inverse
 from .errors import LdpError, ValidationError
 from .fields import _FMT
 from .hamiltonian import Hamiltonian
-from .hj import HJGrid, solve_hj, solve_hj_constrained
+from .hj import _STAGES, HJGrid, solve_hj, solve_hj_constrained
 from .kernels import load_kernel
 from .pde import (SimConfig, SweepRecord, fit_rate, run_sweep, simulate)
 from .rate import lax_oleinik, rate_iinf
@@ -286,7 +286,8 @@ def _parser():
     p.add_argument("--grid", default="399", help="interior node count")
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--t", default=None, help="snapshot times")
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=None, help=f"fixed step of "
+                   f"{_STAGES} Euler substeps, <= {_STAGES - 1} h/max|H'|")
     p.set_defaults(fn=_cmd_hj)
 
     p = sub.add_parser("simulate", help="run the nonlocal parabolic solver")

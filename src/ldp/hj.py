@@ -16,16 +16,18 @@ The scheme follows Osher & Shu (SIAM J. Numer. Anal. 28, 1991):
   which is monotone, so the scheme it forms with first-order slopes
   converges to the viscosity solution (Crandall & Lions, Math. Comp. 43,
   1984);
-- Heun's method (TVD-RK2): two forward Euler stages, then their average.
-  It is strong-stability-preserving with coefficient 1, so each stage
+- SSPRK(s,2), s = _STAGES = 4, in two registers (Spiteri & Ruuth, SIAM
+  J. Numer. Anal. 40, 2002): a step dt is s forward Euler substeps of
+  dt / (s - 1) into u1, then u <- (u + (s - 1) u1) / s.  It is
+  strong-stability-preserving with coefficient s - 1, so each substep
   obeys the step bound of a single Euler step.
 
-Each Euler stage is one pass of fifteen numpy calls on arrays allocated,
+Each Euler substep is one pass of fifteen numpy calls on arrays allocated,
 and views of them bound, once per solve: ENO2 slopes into the rows p-,
 p+ of one (2, n) array, the clamp at p*, one np.interp for both Godunov
 terms, their maximum, the scaling by dt and the update of u1's interior.
-u is 0 on the boundary from the start and no stage writes there, so the
-plain march projects nothing.
+u is 0 on the boundary from the start and no substep writes there, so
+the plain march projects nothing.
 
 H is tabulated (one batched HTable) on a finite slope range
 [p_min, p_max] and held constant beyond it, which clamps the slopes fed
@@ -36,11 +38,11 @@ solution takes there.  first_reach finds that range from tables of the
 moments each cap reads: H' for the dense core of solve_hj, H and H' for
 its clamp range, H alone for the cap of solve_hj_constrained.
 
-The time step is dt = 0.9 h / max |H'| over the slopes currently sampled,
-with H' that of the tabulated (piecewise-linear) H, the flux the scheme
-actually evaluates.  H' is monotone, so the top speed sits at the extreme
-slopes; the step adapts to them, so the stiff initial layer does not
-throttle the whole run.
+The time step is dt = (s - 1) 0.9 h / max |H'| over the slopes currently
+sampled, with H' that of the tabulated (piecewise-linear) H, the flux the
+scheme actually evaluates.  H' is monotone, so the top speed sits at the
+extreme slopes; the step adapts to them, so the stiff initial layer does
+not throttle the whole run.
 
 For critical kernels (dom H = [-beta0, beta0]) the plain solver refuses to
 run; solve_hj_constrained treats
@@ -48,14 +50,15 @@ run; solve_hj_constrained treats
     max(u_t + H(u_x); |u_x| - beta0) = 0
 
 by projecting slopes into (-beta0, beta0) and enforcing the beta0-Lipschitz
-bound with a min-plus sweep on the initial data and after each Heun
+bound with a min-plus sweep on the initial data and after each step's
 average, which installs the correct initial trace min(A, beta0 dist(x)).
 
-Both solvers report the march in FieldHistory.meta: `steps` (Heun
-steps), `dt_min` and `dt_max`; `clamped_steps`, the steps whose extreme
-slopes (the two reductions that set dt) lay outside [p_min, p_max]; and
-the phase timings `table_s` (slope range and H table) and `march_s`.
-Every field holds the one read-only x of its grid.
+Both solvers report the march in FieldHistory.meta: `stages` (s),
+`steps` (SSPRK steps, s Euler substeps each), `dt_min` and `dt_max` (step
+lengths); `clamped_steps`, the steps whose extreme slopes (the two
+reductions that set dt) lay outside [p_min, p_max]; and the phase
+timings `table_s` (slope range and H table) and `march_s`.  Every field
+holds the one read-only x of its grid.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ from .fields import Field, FieldHistory, _snapshot_times
 from .hamiltonian import HTable, Hamiltonian, _inner_domain, first_reach
 from .rate import lax_oleinik
 
-_CFL = 0.9             # dt * max|H'| / h, per Euler stage
+_CFL = 0.9             # dt * max|H'| / h, per Euler substep
+_STAGES = 4            # s of SSPRK(s,2): s - 1 Euler steps of time a step
 _TABLE_SIZE = 2001
 
 
@@ -138,8 +142,8 @@ def _table_knots(pmin, pmax, core_min, core_max):
 
 def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
     """The fields at the snapshot times and the march statistics: the
-    number of Heun steps, the smallest and largest dt taken, the steps
-    whose extreme slopes left the table, and the march's wall time."""
+    number of SSPRK(s,2) steps, the smallest and largest dt taken, the
+    steps whose extreme slopes left the table, and the march's wall time."""
     start = time.perf_counter()
     n, h, dt_fixed = grid.n, grid.h, grid.dt
     ps, Hv = tab.ps, tab.Hv
@@ -191,9 +195,9 @@ def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
         _project(u_ends, ramp, work)
     if dt_fixed is not None:
         max_speed = float(np.max(np.abs(tab.slopes)))
-        if dt_fixed * max_speed / h > 1.0 + 1e-12:
+        if dt_fixed * max_speed / h > (_STAGES - 1) * (1.0 + 1e-12):
             raise CFLViolation(
-                f"dt={dt_fixed} violates dt*max|H'|/h <= 1 "
+                f"dt={dt_fixed} violates dt*max|H'|/h <= {_STAGES - 1} "
                 f"(max|H'|={max_speed:.3g}, h={h:.3g})")
     fields, t = [], 0.0
     steps, clamped, dt_min, dt_max = 0, 0, math.inf, 0.0
@@ -204,14 +208,16 @@ def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
             lo, hi = float(P.min()), float(P.max())
             clamped += lo < p_lo or hi > p_hi
             # H' is monotone, so the extreme slopes carry the top speed
-            dt = min(dt_fixed or _CFL * h / max(tab.speed(lo, hi), 1e-12),
-                     target - t)
-            # Heun (TVD-RK2): two Euler stages, then the average
-            euler(u_in, dt)
-            slopes(u1_r, u1_l)
-            euler(u1_in, dt)
-            u += u1
-            u *= 0.5
+            dt = min(dt_fixed or (_STAGES - 1) * _CFL * h
+                     / max(tab.speed(lo, hi), 1e-12), target - t)
+            # SSPRK(s,2): s Euler substeps into u1, then the average
+            sub = dt / (_STAGES - 1)
+            euler(u_in, sub)
+            for _ in range(_STAGES - 1):
+                slopes(u1_r, u1_l)
+                euler(u1_in, sub)
+            u += (_STAGES - 1) * u1
+            u /= _STAGES
             if sweep:
                 _project(u_ends, ramp, work)
             t += dt
@@ -223,7 +229,7 @@ def _march(tab: HTable, grid: HJGrid, sweep_beta=None):
         fields.append(Field(x=grid.x, t=t, values=u.copy()))
     return fields, {"steps": steps, "dt_min": float(dt_min),
                     "dt_max": float(dt_max), "clamped_steps": clamped,
-                    "march_s": time.perf_counter() - start}
+                    "stages": _STAGES, "march_s": time.perf_counter() - start}
 
 
 def _project(ends, ramp, work):
@@ -270,7 +276,7 @@ def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
     table_s = time.perf_counter() - start
     fields, stats = _march(tab, grid)
     return FieldHistory(fields=fields, meta={
-        "scheme": "eno2-godunov-heun", "n": grid.n, "A": grid.A,
+        "scheme": f"eno2-godunov-ssprk{_STAGES}2", "n": grid.n, "A": grid.A,
         "p_min": pmin, "p_max": pmax, "table_s": table_s, **stats})
 
 
@@ -293,9 +299,9 @@ def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
     table_s = time.perf_counter() - start
     fields, stats = _march(tab, grid, sweep_beta=beta0)
     return FieldHistory(fields=fields, meta={
-        "scheme": "eno2-godunov-heun+lipschitz", "n": grid.n, "A": grid.A,
-        "beta0": beta0, "p_min": pmin, "p_max": pmax, "table_s": table_s,
-        **stats})
+        "scheme": f"eno2-godunov-ssprk{_STAGES}2+lipschitz", "n": grid.n,
+        "A": grid.A, "beta0": beta0, "p_min": pmin, "p_max": pmax,
+        "table_s": table_s, **stats})
 
 
 def lax_oleinik_field(L, grid: HJGrid, t) -> Field:

@@ -219,7 +219,9 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
     truncation error below 1e-16 and the other nodes none that is stated.
     meta["tail_bound"] is max(u0) times the tail bound at the stop, the
     largest over the snapshots, and meta["saturated_nodes"] counts the
-    values at or below 1e-300 over the snapshots.
+    values at or below 1e-300 over the snapshots.  meta["roundoff_bound"]
+    bounds a value's relative round-off: a matvec, len(w) nonnegative
+    products with taps summing to 1 within an ulp, loses 2 len(w) + 2 ulp.
     """
     h = cfg.h
     x = cfg.x
@@ -279,6 +281,7 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
         "bc_mode": cfg.bc_mode, "R": cfg.R, "h": h, "rate": rate,
         "matvecs": matvecs, "dt": cfg.snapshots[-1] / max(matvecs, 1),
         "tail_bound": math.exp(math.log(M) + tail) if M > 0 else 0.0,
+        "roundoff_bound": (matvecs + 1) * (2 * len(w) + 2) * 2.0 ** -53,
         "value_floor": m,
         "saturated_nodes": sum(int(np.count_nonzero(s <= _SAT_FLOOR))
                                for s in sums),

@@ -21,9 +21,9 @@ below the oracle's, not above it.
 dense_nonlocal_solution is the space-discrete nonlocal equation solved by
 a dense matrix exponential, the reference for a solver exact in time.
 
-hj_scheme_march is the ENO2-Godunov-Heun scheme for u_t + H(u_x) = 0 on
-(-1, 1), written node by node in plain Python floats, the reference for
-the array march of the HJ solvers.
+hj_scheme_march is the ENO2-Godunov scheme with an SSPRK(s,2) time step
+(Heun at s = 2) for u_t + H(u_x) = 0 on (-1, 1), written node by node in
+plain Python floats, the reference for the array march of the HJ solvers.
 """
 
 import math
@@ -168,8 +168,8 @@ def dense_nonlocal_solution(density, reach, R, T, h, L, A_diff, B_drift,
     return x, (expm(T * gen) @ np.append(start, 1.0))[:n]
 
 
-def hj_scheme_march(ps, Hv, n, A, snapshots, beta=None, cfl=0.9):
-    """The ENO2-Godunov-Heun march of u_t + H(u_x) = 0 on the n interior
+def hj_scheme_march(ps, Hv, n, A, snapshots, beta=None, cfl=0.9, stages=2):
+    """The ENO2-Godunov-SSPRK(s,2) march of u_t + H(u_x) = 0 on the n interior
     nodes of (-1, 1), u = A inside and 0 on the boundary at t = 0, one node
     at a time.  H is the piecewise-linear interpolant of the table (ps, Hv),
     held constant beyond it.
@@ -180,16 +180,17 @@ def hj_scheme_march(ps, Hv, n, A, snapshots, beta=None, cfl=0.9):
       a tie) of (S_{i-1}, S_i) and (S_i, S_{i+1});
     - Godunov flux max(H(max(p-, p*)), H(min(p+, p*))), p* the knot of
       least H;
-    - Heun: two Euler stages and their average; with beta, the
-      beta-Lipschitz projection (boundary set to 0, then a running minimum
-      of u_k + beta h |j - k| from each side) after the first stage and
-      after the average, and once on the initial data;
-    - dt = cfl h / max|H'| over the two table cells holding the smallest
-      and the largest slope of the first stage (the cell of p ends at the
-      first knot >= p), cut to land on each snapshot.
+    - SSPRK(s,2), s = stages (s = 2 is Heun): s Euler substeps of
+      dt / (s - 1) from u into u1, then (u + (s - 1) u1) / s; with beta,
+      the beta-Lipschitz projection (boundary set to 0, then a running
+      minimum of u_k + beta h |j - k| from each side) after the first
+      substep and after the average, and once on the initial data;
+    - dt = (s - 1) cfl h / max|H'| over the two table cells holding the
+      smallest and the largest slope of the first substep (the cell of p
+      ends at the first knot >= p), cut to land on each snapshot.
 
     Returns the values at the snapshot times (lists of n + 2 floats) and
-    the number of Heun steps.
+    the number of steps.
     """
     ps, Hv = [float(p) for p in ps], [float(v) for v in Hv]
     h = 2.0 / (n + 1)
@@ -244,12 +245,15 @@ def hj_scheme_march(ps, Hv, n, A, snapshots, beta=None, cfl=0.9):
         while True:
             pairs = slopes(u)
             flat = [p for pair in pairs for p in pair]
-            dt = cfl * h / max(max(speed(min(flat)), speed(max(flat))),
-                               1e-12)
+            dt = (stages - 1) * cfl * h / max(
+                max(speed(min(flat)), speed(max(flat))), 1e-12)
             dt = min(dt, target - t)
-            u1 = project(euler(u, pairs, dt))
-            u2 = euler(u1, slopes(u1), dt)
-            u = project([(a + b) * 0.5 for a, b in zip(u, u2)])
+            sub = dt / (stages - 1)
+            u1 = project(euler(u, pairs, sub))
+            for _ in range(stages - 1):
+                u1 = euler(u1, slopes(u1), sub)
+            u = project([(a + (stages - 1) * b) / stages
+                         for a, b in zip(u, u1)])
             t += dt
             steps += 1
             if abs(t - target) <= 1e-12 * max(1.0, target):

@@ -49,10 +49,22 @@ def test_nonincreasing_in_time(quad_solution):
 
 
 def test_comparison_in_obstacle_height():
+    # The viscosity solutions are ordered in A.  The ENO2 march has no
+    # discrete comparison principle (u1 - u2 reaches 5.4e-3 at T = 0.1,
+    # A = 2 vs 4), so the march may cross the exact order by no more
+    # than the two fields' own errors against their exact fields.
     h = quadratic_h()
-    u1 = solve_hj(h, HJGrid(n=99, T=0.5, A=2.0)).at_time(0.5)
-    u2 = solve_hj(h, HJGrid(n=99, T=0.5, A=4.0)).at_time(0.5)
-    assert np.all(u1.values <= u2.values + 1e-10)
+    L = Lagrangian(h)
+    for T in (0.01, 0.1, 0.5):
+        for A1, A2 in ((1.0, 2.0), (2.0, 4.0)):
+            g1, g2 = HJGrid(n=99, T=T, A=A1), HJGrid(n=99, T=T, A=A2)
+            u1 = solve_hj(h, g1).at_time(T).values
+            u2 = solve_hj(h, g2).at_time(T).values
+            x1 = lax_oleinik_field(L, g1, T).values
+            x2 = lax_oleinik_field(L, g2, T).values
+            assert np.all(x1 <= x2)
+            e1, e2 = np.max(np.abs(u1 - x1)), np.max(np.abs(u2 - x2))
+            assert np.all(u1 - u2 <= e1 + e2 + 1e-10)
 
 
 def test_symmetric_data_symmetric_solution(quad_solution):
@@ -62,8 +74,8 @@ def test_symmetric_data_symmetric_solution(quad_solution):
 
 
 def test_fixed_dt_march_matches_hopf_lax_oracle():
-    # dt = h / p_max, at the CFL bound: H'(p) = p, so no cell of the
-    # table, which ends at p_max, is steeper than p_max
+    # dt = h / p_max, within the step's bound s - 1: H'(p) = p, so no
+    # cell of the table, which ends at p_max, is steeper than p_max
     h = quadratic_h()
     snaps = [0.5, 1.0]
     adaptive = HJGrid(n=99, T=1.0, A=3.0, snapshots=snaps)
@@ -91,6 +103,58 @@ def test_user_dt_cfl_check():
     grid = HJGrid(n=99, T=0.5, A=2.0, dt=0.5)
     with pytest.raises(CFLViolation):
         solve_hj(quadratic_h(), grid)
+
+
+def test_fixed_dt_may_reach_stages_minus_one_euler_bounds(tables):
+    # a step of dt is s Euler substeps of dt / (s - 1), so the bound on a
+    # step is dt max|H'| / h <= s - 1, max|H'| over the table's cells
+    s = ldp.hj._STAGES
+    h = quadratic_h()
+    grid = HJGrid(n=99, T=0.5, A=2.0)
+    solve_hj(h, grid)
+    dt = (s - 1) * grid.h / float(np.max(np.abs(tables[0].slopes)))
+    hist = solve_hj(h, HJGrid(n=99, T=0.5, A=2.0, dt=dt))
+    assert hist.meta["dt_max"] == dt
+    with pytest.raises(CFLViolation, match=rf"dt\*max\|H'\|/h <= {s - 1} "):
+        solve_hj(h, HJGrid(n=99, T=0.5, A=2.0, dt=1.01 * dt))
+
+
+def test_every_adaptive_substep_meets_the_euler_bound(monkeypatch):
+    # each step's s Euler substeps of dt / (s - 1) obey the bound of one
+    # Euler step at the speed that set dt.  The march scales the Godunov
+    # flux by the substep inside np.interp's output, so that output and
+    # the flux it held give each substep's length.
+    s = ldp.hj._STAGES
+    speeds, stages = [], []
+
+    def speed(self, lo, hi, _speed=HTable.speed):
+        speeds.append(_speed(self, lo, hi))
+        return speeds[-1]
+
+    def interp(*args, _np_interp=np.interp):
+        out = _np_interp(*args)
+        stages.append((out[0], out.max(axis=0)))
+        return out
+    monkeypatch.setattr(HTable, "speed", speed)
+    monkeypatch.setattr(np, "interp", interp)
+    grid = HJGrid(n=99, T=0.5, A=3.0, snapshots=[0.25, 0.5])
+    hist = solve_hj(quadratic_h(), grid)
+    assert hist.meta["stages"] == s
+    assert hist.meta["scheme"] == f"eno2-godunov-ssprk{s}2"
+    assert len(speeds) == hist.meta["steps"]
+    assert len(stages) == s * len(speeds)
+    subs = []
+    for scaled, flux in stages:
+        j = int(np.argmax(flux))
+        assert flux[j] > 0
+        subs.append(scaled[j] / flux[j])
+    cfl = []
+    for k, top in enumerate(speeds):
+        step = subs[s * k:s * (k + 1)]
+        assert max(step) - min(step) <= 1e-14 * max(step)
+        cfl.append(max(step) * top / grid.h)
+    assert max(cfl) <= ldp.hj._CFL + 1e-12
+    assert max(cfl) >= ldp.hj._CFL - 1e-9
 
 
 def test_critical_steepness_rejected(critical_h):
@@ -198,7 +262,8 @@ def test_march_matches_the_node_by_node_scheme(case, compact_h, critical_h,
         hist, beta = solve_hj(h, grid), None
     tab, = tables
     ref, steps = hj_scheme_march(tab.ps, tab.Hv, grid.n, grid.A,
-                                 grid.snapshots, beta=beta)
+                                 grid.snapshots, beta=beta,
+                                 stages=ldp.hj._STAGES)
     assert hist.meta["steps"] == steps
     for f, values in zip(hist.fields, ref):
         assert np.max(np.abs(f.values - np.array(values))) <= 1e-12
@@ -212,7 +277,7 @@ def test_one_interp_per_euler_stage(monkeypatch):
         return _np_interp(*args)
     monkeypatch.setattr(np, "interp", interp)
     hist = solve_hj(quadratic_h(), HJGrid(n=49, T=0.5, A=3.0))
-    assert len(calls) == 2 * hist.meta["steps"]
+    assert len(calls) == ldp.hj._STAGES * hist.meta["steps"]
     assert set(calls) == {(2, 49)}
 
 

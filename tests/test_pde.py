@@ -448,15 +448,27 @@ def test_whole_line_stop_at_the_value_floor(name, R, T, A_diff, B_drift,
     assert m == np.min(cfg.u0_values(cfg.x)) > 0
     assert hist.meta["matvecs"] <= ref.meta["matvecs"]
     assert hist.meta["tail_bound"] <= 1e-16 * m
-    # in floating point each matvec sums len(w) nonnegative products with
-    # taps that sum to 1 within an ulp, so it may lose 2 len(w) + 2 ulp
+    # in floating point each matvec may lose the round-off bound's share
     # of the smallest value it reads (a constant drifts by about one ulp
     # a matvec: 1.5e-14 below m after 200 of them, in the floor run too)
-    taps = len(_stencil(kernel, cfg.h, cfg.reach, A_diff, B_drift)[1])
-    slack = (hist.meta["matvecs"] + 1) * (2 * taps + 2) * 2.0 ** -53
+    slack = hist.meta["roundoff_bound"]
     for a, b in zip(hist.fields, ref.fields):
         assert np.all(a.values >= m * (1 - 1e-16 - slack))
         assert np.max(np.abs(a.values - b.values) / b.values) <= 4e-16
+
+
+def test_roundoff_bound_covers_the_drift_of_constant_data():
+    # P's taps sum to 1 - 2.2e-16 in floating point, so constant data
+    # drift (to 1 + 5.3e-14 after 228 matvecs here) though the exact
+    # solution stays 1
+    cfg = SimConfig(kernel=_FLOOR_KERNELS["tempered"], R=4.0, T=1.0,
+                    u0=lambda x: 1.0, bc_mode="whole_line", n_per_unit=8)
+    hist = simulate(cfg)
+    taps = len(_stencil(cfg.kernel, cfg.h, cfg.reach)[1])
+    assert hist.meta["matvecs"] == 228
+    assert hist.meta["roundoff_bound"] == 229 * (2 * taps + 2) * 2.0 ** -53
+    drift = np.max(np.abs(hist.fields[-1].values - 1.0))
+    assert 0 < drift <= hist.meta["roundoff_bound"]
 
 
 def test_whole_line_data_with_a_zero_node_keeps_the_floor_stop(
