@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ldp.hj
 from _oracles import hj_scheme_march
@@ -121,20 +124,21 @@ def test_fixed_dt_may_reach_stages_minus_one_euler_bounds(tables):
 
 def test_every_adaptive_substep_meets_the_euler_bound(monkeypatch):
     # each step's s Euler substeps of dt / (s - 1) obey the bound of one
-    # Euler step at the speed that set dt.  The march scales the Godunov
-    # flux by the substep inside np.interp's output, so that output and
-    # the flux it held give each substep's length.
+    # Euler step at the speed that set dt.  The march looks the Godunov
+    # terms up in the halves of a table of dt H, first the half at and
+    # above p* = argmin H, then the half at and below it, so each half
+    # over the same half of H gives the substep's length.
     s = ldp.hj._STAGES
-    speeds, stages = [], []
+    speeds, tables, halves = [], [], []
 
     def speed(self, lo, hi, _speed=HTable.speed):
+        tables.append(self)
         speeds.append(_speed(self, lo, hi))
         return speeds[-1]
 
-    def interp(*args, _np_interp=np.interp):
-        out = _np_interp(*args)
-        stages.append((out[0], out.max(axis=0)))
-        return out
+    def interp(x, xp, fp, _np_interp=np.interp):
+        halves.append(np.array(fp))
+        return _np_interp(x, xp, fp)
     monkeypatch.setattr(HTable, "speed", speed)
     monkeypatch.setattr(np, "interp", interp)
     grid = HJGrid(n=99, T=0.5, A=3.0, snapshots=[0.25, 0.5])
@@ -142,15 +146,20 @@ def test_every_adaptive_substep_meets_the_euler_bound(monkeypatch):
     assert hist.meta["stages"] == s
     assert hist.meta["scheme"] == f"eno2-godunov-ssprk{s}2"
     assert len(speeds) == hist.meta["steps"]
-    assert len(stages) == s * len(speeds)
+    assert len(halves) == 2 * s * len(speeds)
+    Hv = tables[0].Hv
+    assert all(tab.Hv is Hv for tab in tables)
+    i = int(np.argmin(Hv))
     subs = []
-    for scaled, flux in stages:
-        j = int(np.argmax(flux))
-        assert flux[j] > 0
+    for k, scaled in enumerate(halves):
+        flux = Hv[i:] if k % 2 == 0 else Hv[:i + 1]
+        assert scaled.shape == flux.shape
+        j = int(np.argmax(np.abs(flux)))
+        assert flux[j] != 0
         subs.append(scaled[j] / flux[j])
     cfl = []
     for k, top in enumerate(speeds):
-        step = subs[s * k:s * (k + 1)]
+        step = subs[2 * s * k:2 * s * (k + 1)]
         assert max(step) - min(step) <= 1e-14 * max(step)
         cfl.append(max(step) * top / grid.h)
     assert max(cfl) <= ldp.hj._CFL + 1e-12
@@ -269,7 +278,7 @@ def test_march_matches_the_node_by_node_scheme(case, compact_h, critical_h,
         assert np.max(np.abs(f.values - np.array(values))) <= 1e-12
 
 
-def test_one_interp_per_euler_stage(monkeypatch):
+def test_two_half_table_lookups_per_euler_stage(monkeypatch):
     calls = []
 
     def interp(*args, _np_interp=np.interp):
@@ -277,8 +286,41 @@ def test_one_interp_per_euler_stage(monkeypatch):
         return _np_interp(*args)
     monkeypatch.setattr(np, "interp", interp)
     hist = solve_hj(quadratic_h(), HJGrid(n=49, T=0.5, A=3.0))
-    assert len(calls) == ldp.hj._STAGES * hist.meta["steps"]
-    assert set(calls) == {(2, 49)}
+    assert len(calls) == 2 * ldp.hj._STAGES * hist.meta["steps"]
+    assert set(calls) == {(49,)}
+
+
+@functools.lru_cache(maxsize=None)
+def _split_tables():
+    # knots in the march's units h p (n = 399), and dt H on them: the
+    # table of a solve, and two whose minimum sits at an end knot, so
+    # that one half is a single knot
+    h = 2.0 / 400
+    quad = HTable(quadratic_h(), ldp.hj._table_knots(-40.0, 60.0, -5.0, 5.0))
+    ps = np.geomspace(0.5, 8.0, 41) - 1.0
+    return [(quad.ps * h, 0.003 * quad.Hv),
+            (ps * h, 0.003 * np.expm1(ps)),
+            (ps * h, 0.003 * np.exp(-ps))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(0, 2), frac=st.lists(st.floats(-0.25, 1.25), max_size=40),
+       wild=st.lists(st.floats(-1e300, 1e300), max_size=8))
+def test_the_half_tables_are_the_clamp_at_pstar(k, frac, wild):
+    # np.interp holds the end value beyond the last knot, so a lookup in
+    # the half at and above (at and below) p* is, bit for bit, the
+    # lookup of max(p, p*) (min(p, p*)) in the whole table
+    ks, F = _split_tables()[k]
+    i = int(np.argmin(F))
+    star = ks[i]
+    x = np.concatenate([
+        ks[0] + np.array(frac) * (ks[-1] - ks[0]), wild,
+        [-1e300, 1e300, star, np.nextafter(star, -np.inf),
+         np.nextafter(star, np.inf), ks[0], ks[-1]]])
+    up = np.interp(x, ks[i:], F[i:])
+    down = np.interp(x, ks[:i + 1], F[:i + 1])
+    assert up.tobytes() == np.interp(np.maximum(x, star), ks, F).tobytes()
+    assert down.tobytes() == np.interp(np.minimum(x, star), ks, F).tobytes()
 
 
 def test_clamped_steps_count_the_steps_past_the_table(monkeypatch):
