@@ -47,6 +47,15 @@ def parse_values(text):
     return [float(p) for p in text.split(",") if p != ""]
 
 
+def _integer(text, flag):
+    """An integer argument; ValidationError for any other text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"{flag} must be an integer, got '{text}'") \
+            from None
+
+
 def _write_rows(out, header, rows, footer=None):
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -119,7 +128,7 @@ def _cmd_hj(args):
     kernel = load_kernel(args.kernel)
     h = Hamiltonian.from_kernel(kernel)
     snaps = parse_values(args.t) if args.t else None
-    grid = HJGrid(n=int(args.grid), T=args.tmax, A=args.A,
+    grid = HJGrid(n=_integer(args.grid, "--grid"), T=args.tmax, A=args.A,
                   dt=args.dt, snapshots=snaps)
     if kernel.is_critical:
         hist = solve_hj_constrained(h, kernel.tail.beta0, grid)
@@ -135,7 +144,8 @@ def _cmd_simulate(args):
     kernel = load_kernel(args.kernel)
     snaps = parse_values(args.t) if args.t else None
     cfg = SimConfig(kernel=kernel, R=args.R, T=args.tmax,
-                    bc_mode=args.bc, n_per_unit=int(args.grid),
+                    bc_mode=args.bc,
+                    n_per_unit=_integer(args.grid, "--grid"),
                     snapshots=snaps)
     hist = simulate(cfg)
     if args.out:

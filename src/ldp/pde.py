@@ -37,7 +37,14 @@ stops by one of two rules:
 
 The nodes a boundary mode holds (|x| > R) never change, so P is applied
 only on the band of free nodes, |x| <= R (the whole grid in whole_line
-mode); held values are written once and never recomputed.
+mode); held values are written once and never recomputed.  On a band of B
+nodes an offset |k| > B - 1 lands on a held node or a pad from every band
+node, and in Dirichlet and barrier modes all of those hold one value (0,
+or M), so the far taps add the constant c = value * (sum of their w_k) /
+rate to every entry of P u.  c is formed once per solve, and each matvec
+convolves the band with the taps |k| <= B - 1 alone: B min(K, 2B - 1)
+multiply-adds for K taps instead of B K.  No tap passes the whole grid
+(domain_truncation >= R + reach), so whole_line runs convolve every tap.
 
 For unit-mass kernels with u0 = const = M and no local terms, the whole-line
 solution is exactly the constant M, so the truncation difference u - u_R
@@ -205,7 +212,9 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
     w / rate) to the free band, reading the held nodes and the pads beyond
     the grid as constant sources, and adds Pois(n; rate t) P^n u(0) to the
     band of every snapshot t; held nodes keep their data throughout, and
-    meta["free_nodes"] counts the band.
+    meta["free_nodes"] counts the band.  The taps longer than the band
+    reach only held nodes and pads, so their share of P u is one constant
+    formed once; meta["taps"] counts the offsets a matvec convolves.
 
     Every value is at least m = meta["value_floor"], the smallest entry
     of the initial buffer (min(u0) in whole_line mode; 0 in the other two,
@@ -222,6 +231,8 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
     values at or below 1e-300 over the snapshots.  meta["roundoff_bound"]
     bounds a value's relative round-off: a matvec, len(w) nonnegative
     products with taps summing to 1 within an ulp, loses 2 len(w) + 2 ulp.
+    The far taps' constant is one sum of len(w) - meta["taps"] such
+    products, formed once, so the same bound covers the cut matvec.
     """
     h = cfg.h
     x = cfg.x
@@ -247,9 +258,15 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
     kpad = -int(ks[0])
     buf = np.concatenate([np.full(kpad, pads[0]), u,
                           np.full(int(ks[-1]), pads[1])])
-    window = buf[lo:hi + len(ks) - 1]  # the entries the band reads
+    # taps longer than the band reach only held nodes and pads, which all
+    # hold pads[0] (no tap is that long in whole_line mode): one constant
+    near = np.abs(ks) < hi - lo
+    k_a, k_b = int(ks[near][0]), int(ks[near][-1])
+    window = buf[kpad + lo + k_a:kpad + hi + k_b]  # the entries band reads
     band = buf[kpad + lo:kpad + hi]    # view: P^n u(0) on the free nodes
-    taps = w[::-1] / (rate or 1.0)  # rate 0: no jumps, P is never applied
+    scale = rate or 1.0             # rate 0: no jumps, P is never applied
+    taps = w[near][::-1] / scale
+    far_share = pads[0] * float(np.sum(w[~near])) / scale
     m = _value_floor(buf)
     floor = max(_SAT_FLOOR, m)
     log_M = math.log(max(M, _SAT_FLOOR))
@@ -266,7 +283,8 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
     n = 0
     while n < max(stops):
         if n:
-            band[:] = np.convolve(window, taps, mode="valid")
+            np.add(np.convolve(window, taps, mode="valid"), far_share,
+                   out=band)
         for i, (s, (p, tails)) in enumerate(zip(sums, terms)):
             if n < stops[i]:
                 s[lo:hi] += p[n] * band
@@ -285,7 +303,8 @@ def simulate(cfg: SimConfig, *, reads=None) -> FieldHistory:
         "value_floor": m,
         "saturated_nodes": sum(int(np.count_nonzero(s <= _SAT_FLOOR))
                                for s in sums),
-        "free_nodes": hi - lo, "kernel": cfg.kernel.family})
+        "free_nodes": hi - lo, "taps": len(taps),
+        "kernel": cfg.kernel.family})
 
 
 def sup_difference(u: Field, uR: Field, theta, R) -> float:
@@ -381,13 +400,19 @@ def run_sweep(kernel: Kernel, Rs, theta=0.0, t_obs=1.0,
     Each solve reads only the window |x| <= theta R, so it stops by the
     `reads` rule of `simulate`: sup_diff, the largest window value, keeps a
     relative truncation error below 1e-16, and the record carries the
-    solve's matvecs and wall time.
+    solve's matvecs and wall time.  The radii run on a pool of LDP_THREADS
+    threads (0 or unset: Python's default size); any other value than a
+    count >= 0 raises ValidationError before any solve.
     """
     if kernel.mass is None or abs(kernel.mass - 1.0) > 1e-9:
         raise ValidationError(
             "the barrier sweep identity requires a unit-mass kernel")
     if not 0.0 <= theta <= 1.0:
         raise ValidationError("theta must lie in [0, 1]")
+    threads = os.environ.get("LDP_THREADS") or "0"
+    if not threads.isdecimal():
+        raise ValidationError(
+            f"LDP_THREADS must be a worker count >= 0, not {threads!r}")
 
     def one(R):
         cfg = SimConfig(kernel=kernel, R=R, T=t_obs, bc_mode="barrier",
@@ -407,7 +432,6 @@ def run_sweep(kernel: Kernel, Rs, theta=0.0, t_obs=1.0,
                            ratio=emp / float(pred),
                            matvecs=hist.meta["matvecs"], wall_s=wall)
 
-    workers = int(os.environ.get("LDP_THREADS", "0")) or None
-    with ThreadPoolExecutor(max_workers=workers) as ex:
+    with ThreadPoolExecutor(max_workers=int(threads) or None) as ex:
         records = list(ex.map(one, sorted(Rs)))
     return records

@@ -170,6 +170,33 @@ def test_non_finite_arguments_exit_2(argv, compact_spec, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["hj", "--A", "2", "--grid", "9.5", "--tmax", "0.5"],
+    ["simulate", "--R", "3", "--grid", "abc", "--tmax", "0.5"]],
+    ids=" ".join)
+def test_non_integer_grid_exit_2(argv, compact_spec, tmp_path, capsys):
+    argv = argv[:1] + ["--kernel", compact_spec,
+                       "--out", str(tmp_path / "out.csv")] + argv[1:]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "--grid" in err["message"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ["-1", "two"])
+def test_sweep_bad_thread_count_exit_2(threads, compact_spec, tmp_path,
+                                       monkeypatch, capsys):
+    monkeypatch.setenv("LDP_THREADS", threads)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--kernel", compact_spec, "--R", "3:5:1",
+                 "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"
+    assert "LDP_THREADS" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["compact_spec", "exp_power_spec"])
 @pytest.mark.parametrize("z", ["nan", "inf", "-inf"])
 def test_kinv_non_finite_z_exit_2(spec, z, request, capsys):

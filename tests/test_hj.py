@@ -122,7 +122,8 @@ def test_fixed_dt_may_reach_stages_minus_one_euler_bounds(tables):
         solve_hj(h, HJGrid(n=99, T=0.5, A=2.0, dt=1.01 * dt))
 
 
-def test_every_adaptive_substep_meets_the_euler_bound(monkeypatch):
+def test_each_substep_meets_the_euler_bound_at_its_step_start_speed(
+        monkeypatch):
     # each step's s Euler substeps of dt / (s - 1) obey the bound of one
     # Euler step at the speed that set dt.  The march looks the Godunov
     # terms up in the halves of a table of dt H, first the half at and

@@ -117,6 +117,49 @@ def test_matches_dense_matrix_exponential(compact_kernel, bc_mode, A_diff,
 
 
 @pytest.mark.parametrize("bc_mode", ["dirichlet_zero_outside", "barrier"])
+@pytest.mark.parametrize("name,R,n_per_unit", [
+    ("gaussian_tail_kernel", 2.0, 8), ("critical_kernel", 1.0, 4),
+    ("demo_kernel", 2.0, 4)])
+def test_far_taps_match_dense_matrix_exponential(request, name, R,
+                                                 n_per_unit, bc_mode):
+    # taps longer than the band land on held nodes or pads from every band
+    # node and enter each matvec as one constant; the dense chain applies
+    # every tap one by one.  The Gaussian and critical stencils pass the
+    # band on both sides, the demo kernel's only on the left
+    kernel = request.getfixturevalue(name)
+    reach = tail_reach(kernel)
+    u0 = lambda x: 1.0 + 0.5 * math.cos(x / 3.0 + 0.4)
+    cfg = SimConfig(kernel=kernel, R=R, T=0.5, u0=u0, bc_mode=bc_mode,
+                    n_per_unit=n_per_unit, domain_truncation=R + reach)
+    hist = simulate(cfg)
+    ks, _ = _stencil(kernel, cfg.h, reach)
+    reach_k = hist.meta["free_nodes"] - 1  # the band's longest inner jump
+    kept = min(ks[-1], reach_k) - max(ks[0], -reach_k) + 1
+    assert hist.meta["taps"] == kept < len(ks)
+    x, ref = dense_nonlocal_solution(
+        kernel.density, reach, R=R, T=0.5, h=cfg.h, L=R + reach, A_diff=0.0,
+        B_drift=0.0, bc_mode=bc_mode, u0=u0)
+    assert np.array_equal(x, hist.fields[-1].x)
+    assert np.max(np.abs(hist.fields[-1].values - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,R,n_per_unit,taps", [
+    ("compact_kernel", 4.0, 8, 17), ("critical_kernel", 1.0, 4, 17)])
+def test_meta_counts_the_taps_after_the_cut(request, name, R, n_per_unit,
+                                            taps):
+    # compact at R = 4: all 17 taps reach the 65-node band; exp_linear at
+    # R = 1, h = 1/4: the 9-node band keeps the offsets |k| <= 8 of its
+    # far longer stencil
+    kernel = request.getfixturevalue(name)
+    cfg = SimConfig(kernel=kernel, R=R, T=0.5, n_per_unit=n_per_unit)
+    meta = simulate(cfg).meta
+    _, w = _stencil(kernel, cfg.h, cfg.reach)
+    assert meta["free_nodes"] == 2 * R * n_per_unit + 1
+    assert meta["taps"] == taps
+    assert (meta["taps"] == len(w)) == (name == "compact_kernel")
+
+
+@pytest.mark.parametrize("bc_mode", ["dirichlet_zero_outside", "barrier"])
 @pytest.mark.parametrize("name", ["compact_kernel", "critical_kernel"])
 def test_band_ignores_the_width_of_the_held_exterior(request, name, bc_mode):
     # P acts on the free band |x| <= R only; the held nodes and the pads
@@ -341,6 +384,25 @@ def test_sweep_record_equality_ignores_the_wall_time(compact_kernel):
             for _ in range(2))
     b[0].wall_s += 1.0
     assert a == b
+
+
+@pytest.mark.parametrize("threads", ["-1", "two", "1.5"])
+def test_run_sweep_rejects_a_bad_thread_count(compact_kernel, monkeypatch,
+                                              threads):
+    calls = _spy_on_simulate(monkeypatch)
+    monkeypatch.setenv("LDP_THREADS", threads)
+    with pytest.raises(ValidationError, match="LDP_THREADS"):
+        run_sweep(compact_kernel, [3.0, 4.0], n_per_unit=8)
+    assert calls == []
+
+
+def test_run_sweep_takes_zero_threads_as_the_default(compact_kernel,
+                                                     monkeypatch):
+    monkeypatch.delenv("LDP_THREADS", raising=False)
+    ref = run_sweep(compact_kernel, [3.0, 4.0], n_per_unit=8)
+    for threads in ("0", "", "1"):
+        monkeypatch.setenv("LDP_THREADS", threads)
+        assert run_sweep(compact_kernel, [3.0, 4.0], n_per_unit=8) == ref
 
 
 def test_run_sweep_requires_unit_mass():
