@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: hamiltonian, conjugate, kinv, rate, hj, simulate, sweep.
-Numeric arguments accept a single value, a comma list, or an inclusive
-range `a:b:step`.  Tables are CSV with 12-significant-digit floats; sweeps
-also emit a gnuplot script next to the table.  Exit codes: 0 success,
-2 validation error, 3 numerical failure; errors are reported as a JSON
-record on stderr.
+The list arguments (--p, --q, --z, --x, --t, and --R of sweep) accept a
+single value, a comma list, or an inclusive range `a:b:step`.  Every
+numeric argument must be a finite number, and a list must hold at least
+one: `--t ""` is an error, not the default.  Tables are CSV with
+12-significant-digit floats; sweeps also emit a gnuplot script next to
+the table.  Exit codes: 0 success, 2 validation error, 3 numerical
+failure; errors are reported as a JSON record on stderr.
 """
 
 from __future__ import annotations
@@ -33,18 +35,44 @@ def _fmt(v):
     return _FMT.format(float(v))
 
 
+_MAX_VALUES = 1_000_000     # values one list option may expand to
+
+
+def _number(text):
+    """A finite float; ValidationError for any other text."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"not a number: '{text}'") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"not a finite number: '{text}'")
+    return value
+
+
 def parse_values(text):
-    """Parse `a`, `a,b,c`, or inclusive `a:b:step` into a float list."""
+    """Parse `a`, `a,b,c`, or inclusive `a:b:step` into a float list.
+
+    ValidationError for any value that is not a finite number, for a range
+    of more than _MAX_VALUES values, and for a list with no value at all
+    (`""` or `","`): every option that takes a list needs one, and an
+    option left out takes its default instead."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"range must be a:b:step, got '{text}'")
-        a, b, step = (float(p) for p in parts)
+        a, b, step = (_number(p) for p in parts)
         if step <= 0 or b < a:
             raise ValidationError("range needs step > 0 and b >= a")
-        n = int(math.floor((b - a) / step + 1e-9))
+        span = (b - a) / step
+        if not span < _MAX_VALUES:
+            raise ValidationError(
+                f"range '{text}' has more than {_MAX_VALUES} values")
+        n = int(math.floor(span + 1e-9))
         return [a + i * step for i in range(n + 1)]
-    return [float(p) for p in text.split(",") if p != ""]
+    values = [_number(p) for p in text.split(",") if p != ""]
+    if not values:
+        raise ValidationError(f"no value in '{text}'")
+    return values
 
 
 def _integer(text, flag):
@@ -127,7 +155,7 @@ def _cmd_rate(args):
 def _cmd_hj(args):
     kernel = load_kernel(args.kernel)
     h = Hamiltonian.from_kernel(kernel)
-    snaps = parse_values(args.t) if args.t else None
+    snaps = parse_values(args.t) if args.t is not None else None
     grid = HJGrid(n=_integer(args.grid, "--grid"), T=args.tmax, A=args.A,
                   dt=args.dt, snapshots=snaps)
     if kernel.is_critical:
@@ -142,7 +170,7 @@ def _cmd_hj(args):
 
 def _cmd_simulate(args):
     kernel = load_kernel(args.kernel)
-    snaps = parse_values(args.t) if args.t else None
+    snaps = parse_values(args.t) if args.t is not None else None
     cfg = SimConfig(kernel=kernel, R=args.R, T=args.tmax,
                     bc_mode=args.bc,
                     n_per_unit=_integer(args.grid, "--grid"),
@@ -222,7 +250,7 @@ def records_from_csv(path):
 def _cmd_sweep(args):
     kernel = load_kernel(args.kernel)
     Rs = parse_values(args.R)
-    t_obs = parse_values(args.t)[0] if args.t else 1.0
+    t_obs = parse_values(args.t)[0] if args.t is not None else 1.0
     records = run_sweep(kernel, Rs, theta=args.theta, t_obs=t_obs)
     fit = fit_rate(records) if len(Rs) >= 3 else None
     out = args.out or "sweep.csv"
@@ -264,7 +292,8 @@ def _parser():
             p.add_argument("--kernel", required=True,
                            help="path to a kernel spec (JSON)")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", default=0,
+                       type=functools.partial(_integer, flag="--seed"),
                        help="accepted and ignored: nothing is random")
 
     p = sub.add_parser("hamiltonian", help="evaluate H(p)")
@@ -287,23 +316,23 @@ def _parser():
     common(p)
     p.add_argument("--x", required=True)
     p.add_argument("--t", required=True)
-    p.add_argument("--A", type=float, default=None)
+    p.add_argument("--A", type=_number, default=None)
     p.set_defaults(fn=_cmd_rate)
 
     p = sub.add_parser("hj", help="march the HJ viscosity scheme")
     common(p)
-    p.add_argument("--A", type=float, required=True)
+    p.add_argument("--A", type=_number, required=True)
     p.add_argument("--grid", default="399", help="interior node count")
-    p.add_argument("--tmax", type=float, required=True)
+    p.add_argument("--tmax", type=_number, required=True)
     p.add_argument("--t", default=None, help="snapshot times")
-    p.add_argument("--dt", type=float, default=None, help=f"fixed step of "
+    p.add_argument("--dt", type=_number, default=None, help=f"fixed step of "
                    f"{_STAGES} Euler substeps, <= {_STAGES - 1} h/max|H'|")
     p.set_defaults(fn=_cmd_hj)
 
     p = sub.add_parser("simulate", help="run the nonlocal parabolic solver")
     common(p)
-    p.add_argument("--R", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
+    p.add_argument("--R", type=_number, required=True)
+    p.add_argument("--tmax", type=_number, required=True)
     p.add_argument("--t", default=None, help="snapshot times")
     p.add_argument("--grid", default="16", help="nodes per unit length")
     p.add_argument("--bc", default="dirichlet_zero_outside",
@@ -314,7 +343,7 @@ def _parser():
     p = sub.add_parser("sweep", help="R-sweep of the truncation error")
     common(p)
     p.add_argument("--R", required=True, help="radii, e.g. 8:24:4")
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--theta", type=_number, default=0.0)
     p.add_argument("--t", default=None, help="observation time")
     p.set_defaults(fn=_cmd_sweep)
     return ap

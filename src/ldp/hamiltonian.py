@@ -723,12 +723,14 @@ class Hamiltonian:
 
 
 class HTable:
-    """H on increasing 1-D knots, filled by one batched call; `slopes`
-    holds H' of the linear interpolant of H, one per cell."""
+    """H on increasing 1-D knots, filled by one batched call unless the
+    caller passes the values Hv; `slopes` holds H' of the linear
+    interpolant of H, one per cell."""
 
-    def __init__(self, h: Hamiltonian, ps):
+    def __init__(self, h: Hamiltonian, ps, Hv=None):
         self.ps = np.asarray(ps, dtype=float)
-        self.Hv = h.batch(self.ps)[0]
+        self.Hv = h.batch(self.ps)[0] if Hv is None else np.asarray(
+            Hv, dtype=float)
         self.slopes = np.diff(self.Hv) / np.diff(self.ps)
         # Python lists: speed() is called once per time step, where two
         # bisections beat the numpy calls on arrays of two

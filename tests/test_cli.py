@@ -184,6 +184,69 @@ def test_non_integer_grid_exit_2(argv, compact_spec, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+# each subcommand's numeric options, with a valid value for every
+# required one, and its optional numeric options
+_NUMERIC = {
+    "hamiltonian": ({"p": "1"}, []),
+    "conjugate": ({"q": "0.5"}, []),
+    "kinv": ({"z": "7"}, []),
+    "rate": ({"x": "0.2", "t": "1"}, ["A"]),
+    "hj": ({"A": "2", "grid": "9", "tmax": "0.1"}, ["t", "dt"]),
+    "simulate": ({"R": "3", "grid": "4", "tmax": "0.1"}, ["t"]),
+    "sweep": ({"R": "3:5:1"}, ["theta", "t"]),
+}
+
+
+@pytest.mark.parametrize("cmd, opt", [
+    (cmd, opt) for cmd, (required, optional) in _NUMERIC.items()
+    for opt in [*required, *optional, "seed"]])
+def test_every_numeric_option_rejects_a_bad_value_with_exit_2(
+        cmd, opt, compact_spec, tmp_path, capsys):
+    # a value that does not parse, is not finite, or is empty is refused
+    # before any numerics run, with exit 2 and a JSON record, never a
+    # traceback
+    required = _NUMERIC[cmd][0]
+    out = tmp_path / "out.csv"
+    for bad in ["abc", "1:2:nan", "nan", "-inf", "1e400", "1,,x", ",", "",
+                "0:1e300:1e-300"]:
+        argv = [cmd, "--kernel", compact_spec, "--out", str(out)] + [
+            f"--{k}={bad if k == opt else v}" for k, v in required.items()]
+        if opt not in required:
+            argv.append(f"--{opt}={bad}")
+        assert main(argv) == 2, bad
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError", bad
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, opt", [
+    (cmd, opt) for cmd, (required, optional) in _NUMERIC.items()
+    for opt in [*required, *optional, "seed"]])
+def test_every_numeric_option_keeps_the_exit_contract(
+        cmd, opt, compact_spec, tmp_path, capsys):
+    # numbers that parse but may be out of range: each run succeeds, or
+    # exits 2 or 3 with one JSON record on stderr
+    required = _NUMERIC[cmd][0]
+    out = tmp_path / "out.csv"
+    for value in ["-1", "0", "inf", "1:0:1", "1:2:0", "1:2", "0.5"]:
+        argv = [cmd, "--kernel", compact_spec, "--out", str(out)] + [
+            f"--{k}={value if k == opt else v}" for k, v in required.items()]
+        if opt not in required:
+            argv.append(f"--{opt}={value}")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), value
+        if code:
+            assert json.loads(err)["error"], value
+
+
+def test_parse_values_refuses_what_is_not_a_finite_list():
+    for text in ["abc", "1:2:nan", "1,inf", "", ",", "0:1e9:1e-3"]:
+        with pytest.raises(ValidationError):
+            parse_values(text)
+    assert parse_values(",1,") == [1.0]
+
+
 @pytest.mark.parametrize("threads", ["-1", "two"])
 def test_sweep_bad_thread_count_exit_2(threads, compact_spec, tmp_path,
                                        monkeypatch, capsys):

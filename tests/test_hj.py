@@ -14,11 +14,12 @@ from ldp import (CFLViolation, DomainViolation, Hamiltonian, HJGrid,
 from ldp.hamiltonian import HTable
 
 
-def quadratic_h():
+def quadratic_h(drift=0.0, symmetric=True):
+    """(p - drift)^2 / 2, declared even or not."""
     return Hamiltonian.from_callables(
-        value=lambda p: 0.5 * float(np.asarray(p).reshape(-1)[0]) ** 2,
-        grad=lambda p: np.atleast_1d(np.asarray(p, dtype=float)),
-        hess=lambda p: 1.0)
+        value=lambda p: 0.5 * (float(np.ravel(p)[0]) - drift) ** 2,
+        grad=lambda p: np.atleast_1d(np.asarray(p, dtype=float)) - drift,
+        hess=lambda p: 1.0, symmetric=symmetric)
 
 
 @pytest.fixture(scope="module")
@@ -260,17 +261,26 @@ def tables(monkeypatch):
     return made
 
 
-@pytest.mark.parametrize("case", ["quadratic", "compact", "critical"])
+@pytest.mark.parametrize("case", ["quadratic", "compact", "critical",
+                                  "quadratic-n50", "drifted"])
 def test_march_matches_the_node_by_node_scheme(case, compact_h, critical_h,
                                                tables):
+    # the whole-grid oracle against the half march of an even H, on an
+    # odd n (ghosts from nodes m - 1, m - 2) and an even n (from m, m - 1),
+    # and against the whole march of an uneven one
+    n = 50 if case == "quadratic-n50" else 49
     if case == "critical":
-        grid = HJGrid(n=49, T=0.5, A=10.0, snapshots=[0.01, 0.5])
+        grid = HJGrid(n=n, T=0.5, A=10.0, snapshots=[0.01, 0.5])
         hist, beta = solve_hj_constrained(critical_h, 1.0, grid), 1.0
     else:
-        grid = HJGrid(n=49, T=0.5, A=3.0, snapshots=[0.25, 0.5])
-        h = quadratic_h() if case == "quadratic" else compact_h
+        grid = HJGrid(n=n, T=0.5, A=3.0, snapshots=[0.25, 0.5])
+        h = {"quadratic": quadratic_h(), "quadratic-n50": quadratic_h(),
+             "compact": compact_h,
+             "drifted": quadratic_h(0.3, symmetric=False)}[case]
         hist, beta = solve_hj(h, grid), None
     tab, = tables
+    assert hist.meta["marched_nodes"] == (n if case == "drifted"
+                                          else (n + 1) // 2)
     ref, steps = hj_scheme_march(tab.ps, tab.Hv, grid.n, grid.A,
                                  grid.snapshots, beta=beta,
                                  stages=ldp.hj._STAGES)
@@ -280,15 +290,70 @@ def test_march_matches_the_node_by_node_scheme(case, compact_h, critical_h,
 
 
 def test_two_half_table_lookups_per_euler_stage(monkeypatch):
+    # an even H marches the nodes 1..(n + 1) // 2, an uneven one all n
     calls = []
 
     def interp(*args, _np_interp=np.interp):
         calls.append(args[0].shape)
         return _np_interp(*args)
     monkeypatch.setattr(np, "interp", interp)
-    hist = solve_hj(quadratic_h(), HJGrid(n=49, T=0.5, A=3.0))
-    assert len(calls) == 2 * ldp.hj._STAGES * hist.meta["steps"]
-    assert set(calls) == {(49,)}
+    for h, shape in ((quadratic_h(), (25,)),
+                     (quadratic_h(0.3, symmetric=False), (49,))):
+        calls.clear()
+        hist = solve_hj(h, HJGrid(n=49, T=0.5, A=3.0))
+        assert len(calls) == 2 * ldp.hj._STAGES * hist.meta["steps"]
+        assert set(calls) == {shape}
+
+
+@pytest.mark.parametrize("solver", ["plain", "constrained"])
+def test_an_even_h_is_read_on_one_side(solver, critical_h, tables,
+                                       monkeypatch):
+    # first_reach runs on the +1 side only, and the batches read H at no
+    # p < 0 but the mirrors of the three knots that check its evenness
+    sides, batches = [], []
+
+    def reach(h, side, *args, _first_reach=ldp.hj.first_reach):
+        sides.append(side)
+        return _first_reach(h, side, *args)
+
+    def batch(self, ps, moments=(0,), _batch=Hamiltonian.batch):
+        batches.append(np.array(ps, dtype=float))
+        return _batch(self, ps, moments)
+    monkeypatch.setattr(ldp.hj, "first_reach", reach)
+    monkeypatch.setattr(Hamiltonian, "batch", batch)
+    if solver == "plain":
+        solve_hj(quadratic_h(), HJGrid(n=49, T=0.5, A=3.0))
+    else:
+        solve_hj_constrained(critical_h, 1.0, HJGrid(n=49, T=0.5, A=2.0))
+    tab, = tables
+    assert sides and set(sides) == {1.0}
+    half = tab.ps[tab.ps.size // 2:]
+    negative = np.concatenate([ps[ps < 0] for ps in batches])
+    assert sorted(negative) == sorted(-half[list(ldp.hj._PROBES)])
+    assert np.array_equal(tab.ps, -tab.ps[::-1])
+    assert np.array_equal(tab.Hv, tab.Hv[::-1])
+
+
+def _half_square_on(domain, symmetric):
+    return Hamiltonian.from_callables(
+        lambda p: 0.5 * float(np.ravel(p)[0]) ** 2, lambda p: np.ravel(p),
+        lambda p: 1.0, domain=domain, symmetric=symmetric)
+
+
+@pytest.mark.parametrize("solver", ["plain", "constrained"])
+@pytest.mark.parametrize("make, match", [
+    (lambda symmetric: quadratic_h(0.3, symmetric), r"H\(-"),
+    (functools.partial(_half_square_on, (-20.0, 40.0)), "domain")],
+    ids=["uneven", "uneven-domain"])
+def test_an_uneven_h_declared_even_is_refused(solver, make, match):
+    def solve(h):
+        grid = HJGrid(n=49, T=0.5, A=0.5)
+        return (solve_hj(h, grid) if solver == "plain"
+                else solve_hj_constrained(h, 1.0, grid))
+    with pytest.raises(ValidationError, match=match):
+        solve(make(symmetric=True))
+    # the same H declared uneven marches every node
+    assert solve(make(symmetric=False)).meta["marched_nodes"] == 49
 
 
 @functools.lru_cache(maxsize=None)
