@@ -25,7 +25,7 @@ from .conjugate import Lagrangian, k_inverse
 from .errors import LdpError, ValidationError
 from .fields import _FMT
 from .hamiltonian import Hamiltonian
-from .hj import _STAGES, HJGrid, solve_hj, solve_hj_constrained
+from .hj import _STAGES, HJGrid, solve_hj
 from .kernels import load_kernel
 from .pde import (SimConfig, SweepRecord, fit_rate, run_sweep, simulate)
 from .rate import lax_oleinik, rate_iinf
@@ -158,10 +158,7 @@ def _cmd_hj(args):
     snaps = parse_values(args.t) if args.t is not None else None
     grid = HJGrid(n=_integer(args.grid, "--grid"), T=args.tmax, A=args.A,
                   dt=args.dt, snapshots=snaps)
-    if kernel.is_critical:
-        hist = solve_hj_constrained(h, kernel.tail.beta0, grid)
-    else:
-        hist = solve_hj(h, grid)
+    hist = solve_hj(h, grid)
     if args.out:
         hist.to_csv(args.out)
     else:

@@ -1,8 +1,11 @@
 """Second-order finite-difference solver for u_t + H(u_x) = 0 on (-1, 1).
 
-Data: u = A inside at t = 0, u = 0 on the boundary for all times.  The
-viscosity solution is the Lax-Oleinik field min(A, t L(dist(x)/t)), which
-the scheme is validated against.
+Data: u = A inside at t = 0, u = 0 on the boundary for all times.  For a
+convex H with H(0) = 0 the viscosity solution is the exit-time value
+function min(A, min over y = +-1, s <= t of s L((x - y)/s)) (Bardi &
+Capuzzo-Dolcetta 1997, ch. IV): the fixed-time field min(A, t L(dist/t))
+where H >= 0 at the optimal slopes (every even H), and below it, by up to
+t (-min H) near the outflow boundary, where not.
 
 The scheme follows Osher & Shu (SIAM J. Numer. Anal. 28, 1991):
 
@@ -43,8 +46,8 @@ p*: a lookup in the half at and above p* is H(max(p-, p*)), one in the
 half at and below p* is H(min(p+, p*)), because np.interp holds the end
 value beyond the last knot.  Once per step a multiply fills the table
 with dt / (s - 1) times H, so the lookups return the substep's flux term.
-u is 0 on the boundary from the start and no substep writes there, so
-the plain march projects nothing.
+u is 0 on the boundary from the start and no substep writes there, so a
+march with no finite edge of dom H projects nothing.
 
 An even H (Hamiltonian.symmetric) is marched on the left half of the
 grid.  Its table is exactly even: H is evaluated on the knots p >= 0
@@ -67,10 +70,11 @@ H is tabulated (one batched HTable) on a finite slope range
 to H; the clamp only modifies the transient layer emanating from the
 boundary discontinuity, not the solution at the requested snapshot times,
 because the clamped Hamiltonian agrees with H on every slope the exact
-solution takes there.  first_reach finds that range from tables of the
-moments each cap reads: H' for the dense core of solve_hj, H and H' for
-its clamp range, H alone for the cap of solve_hj_constrained; an even H
-is read on the side p > 0 alone.
+solution takes there.  dom H = (lo, hi) is read side by side: first_reach
+finds an open side's end of the dense core from H' and its clamp from H
+and H' (geometric knots fill the gap), and a finite edge's cap,
+max(5, |H(0.8 edge)|), from H alone, where the dense core ends.  An even
+H is read on the side p > 0 alone.
 
 The time step is dt = (s - 1) 0.9 h / max |H'| over the slopes currently
 sampled, with H' that of the tabulated (piecewise-linear) H, the flux the
@@ -80,26 +84,27 @@ not throttle the whole run.  On the half grid the extreme slopes are
 min(p_lo, -p_hi) and max(p_hi, -p_lo) of the marched ones, p_lo and p_hi,
 which are those of the whole grid.
 
-For critical kernels (dom H = [-beta0, beta0]) the plain solver refuses to
-run; solve_hj_constrained treats
+A finite edge also bounds u_x on its own side: for finite hi, L(q) ~ hi q
+as q -> inf, so u(x) <= u(x') + hi (x - x') for x' < x, and u_x <= hi;
+likewise u_x >= lo.  The march enforces each bound by a min-plus
+projection, u_j <- min over l <= j of u_l + hi h (j - l) (a forward
+running minimum) and u_j <- min over l >= j of u_l - lo h (l - j) (a
+backward one), on the initial data, which installs the initial trace
+min(A, hi (1 + x), -lo (1 - x)), and after each step's average.  A
+critical kernel is bounded on both sides, the asymmetric demo kernel
+(dom H = (-1, inf)) by x = 1 alone.  For an even u and j <= m, the term
+of a node l > m is no lower than that of its mirror n + 1 - l <= m, so
+sweeping nodes 0..m of the half grid is exact; the ghosts are refreshed
+after it.  solve_hj_constrained(h, beta0, grid) checks that
+dom H = (-beta0, beta0) and calls solve_hj.
 
-    max(u_t + H(u_x); |u_x| - beta0) = 0
-
-by projecting slopes into (-beta0, beta0) and enforcing the beta0-Lipschitz
-bound with a min-plus sweep on the initial data and after each step's
-average, which installs the correct initial trace min(A, beta0 dist(x)).
-The projection is u_j <- min over l of u_l + beta0 h |j - l|.  For an
-even u and j <= m, the term of a node l > m is no lower than that of its
-mirror n + 1 - l <= m, so sweeping nodes 0..m of the half grid is exact;
-the ghosts are refreshed after it.
-
-Both solvers report the march in FieldHistory.meta: `stages` (s),
-`steps` (SSPRK steps, s Euler substeps each), `dt_min` and `dt_max` (step
-lengths); `clamped_steps`, the steps whose extreme slopes (the two
-reductions that set dt) lay outside [p_min, p_max]; `marched_nodes`
-(m: ceil(n/2) for an even H, else n); and the phase timings `table_s`
-(slope range and H table) and `march_s`.  Every field holds the one
-read-only x of its grid.
+FieldHistory.meta reports `scheme` (+lipschitz if a side is bounded),
+`slope_bounds` (lo, hi; None for an open side), `stages` (s), `steps`
+(SSPRK steps), `dt_min` and `dt_max`; `clamped_steps`, the steps whose
+extreme slopes (the two reductions that set dt) lay outside
+[p_min, p_max]; `marched_nodes` (m: ceil(n/2) for an even H, else n); and
+the phase timings `table_s` (slope range and H table) and `march_s`.
+Every field holds the one read-only x of its grid.
 """
 
 from __future__ import annotations
@@ -113,7 +118,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import CFLViolation, DomainViolation, ValidationError
+from .errors import CFLViolation, ValidationError
 from .fields import Field, FieldHistory, _snapshot_times
 from .hamiltonian import HTable, Hamiltonian, _inner_domain, first_reach
 from .rate import lax_oleinik
@@ -208,7 +213,7 @@ def _even_table(h: Hamiltonian, half):
                   np.concatenate([Hv[:0:-1], Hv]))
 
 
-def _march(tab: HTable, grid: HJGrid, even, sweep_beta=None):
+def _march(tab: HTable, grid: HJGrid, even, bounds=(None, None)):
     """The fields at the snapshot times and the march statistics: the
     number of SSPRK(s,2) steps, the smallest and largest dt taken, the
     steps whose extreme slopes left the table, the nodes marched and the
@@ -223,7 +228,8 @@ def _march(tab: HTable, grid: HJGrid, even, sweep_beta=None):
     refreshes the ghosts m + 1, m + 2 from their mirrors g, g - 1
     (g = n - m), and the Lipschitz projection sweeps nodes 0..m, which is
     exact for even u, then refreshes them too.  An uneven H marches all n
-    nodes (m = n, no ghosts)."""
+    nodes (m = n, no ghosts).  `bounds` are the slope bounds (lo, hi),
+    None for an open side, which the projection enforces."""
     start = time.perf_counter()
     n, h, dt_fixed = grid.n, grid.h, grid.dt
     ps, Hv = tab.ps, tab.Hv
@@ -282,25 +288,30 @@ def _march(tab: HTable, grid: HJGrid, even, sweep_beta=None):
         if even:
             u1_ghosts[:] = u1_mirrors
 
-    sweep = sweep_beta is not None
-    if sweep:
-        span = m + 1 if even else n + 2
-        body = u[:span]
-        ends = (body, body[::-1])
-        ramp, work = sweep_beta * h * np.arange(span), np.empty(span)
+    span = m + 1 if even else n + 2
+    body = u[:span]
+    # (sweep order, ramp) per bounded side: u_j <- min over l of
+    # u_l + beta h |j - l|, l on the side the order comes from
+    slope_lo, slope_hi = bounds
+    sweeps = [(v, beta * h * np.arange(span)) for v, beta in (
+        (body, slope_hi),
+        (body[::-1], None if slope_lo is None else -slope_lo))
+        if beta is not None]
+    work = np.empty(span)
 
-        def project():
-            # zero the boundary entries, then the min-plus projection:
-            # one cumulative minimum per side
-            body[0] = 0.0
-            if not even:
-                body[-1] = 0.0
-            for v in ends:
-                np.subtract(v, ramp, out=work)
-                np.minimum.accumulate(work, out=work)
-                np.add(ramp, work, out=v)
-            if even:
-                ghosts[:] = mirrors
+    def project():
+        # zero the boundary entries, then one cumulative minimum per
+        # bounded side
+        body[0] = 0.0
+        if not even:
+            body[-1] = 0.0
+        for v, ramp in sweeps:
+            np.subtract(v, ramp, out=work)
+            np.minimum.accumulate(work, out=work)
+            np.add(ramp, work, out=v)
+        if even:
+            ghosts[:] = mirrors
+    if sweeps:
         project()
     if dt_fixed is not None:
         max_speed = float(np.max(np.abs(tab.slopes)))
@@ -333,7 +344,7 @@ def _march(tab: HTable, grid: HJGrid, even, sweep_beta=None):
             u1 *= _STAGES - 1
             u += u1
             u /= _STAGES
-            if sweep:
+            if sweeps:
                 project()
             t += dt
             steps += 1
@@ -349,33 +360,33 @@ def _march(tab: HTable, grid: HJGrid, even, sweep_beta=None):
 
 
 def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
-    """March the second-order scheme; H must be finite on the slope range
-    the data implies.  Critical Hamiltonians (bounded domain) are refused here:
-    the constant-A initial data generates slopes A/h far beyond dom H."""
+    """March the second-order scheme for a convex H, with dom H = (lo, hi)
+    read side by side (see the module docstring)."""
     start = time.perf_counter()
-    lo, hi = h.domain
     t_first = grid.snapshots[0]
-    need = grid.A / grid.h
-    if need > hi or -need < lo:
-        raise DomainViolation(
-            "initial data implies slopes outside dom(H); use "
-            "solve_hj_constrained for gradient-constrained Hamiltonians")
     # Clamping slopes to [-cap, cap] makes the boundary jump in the initial
-    # data erode at rate H(cap) instead of resolving instantly, so H(cap)
-    # must dominate A / t_first; the fan it leaves behind moves at speeds
-    # up to H'(cap), which must cover the slopes present at the first
-    # snapshot.  Each cap is the smallest |p| meeting its targets; an even
-    # H has the caps of the +1 side on both.
+    # data erode at rate H(cap) instead of resolving instantly, so on an
+    # open side H(cap) must dominate A / t_first; the fan it leaves behind
+    # moves at speeds up to H'(cap), which must cover the slopes present at
+    # the first snapshot.  A finite edge's cap keeps H well inside dom H,
+    # and the projection does the rest.  Each cap is the smallest |p|
+    # meeting its targets; an even H has the caps of the +1 side on both.
     speed_target = 8.0 / t_first
     value_target = 2000.0 * grid.A / t_first
+    bounds = tuple(float(e) if math.isfinite(e) else None for e in h.domain)
+    inner = _inner_domain(h.domain)
     caps = {}
-    plo, phi = _inner_domain(h.domain)
-    sides = ((+1.0, phi),) if h.symmetric else ((+1.0, phi), (-1.0, -plo))
-    for side, bound in sides:
-        core = first_reach(h, side, bound, (1,),
-                           lambda G: np.abs(G) >= speed_target)
-        full = first_reach(h, side, bound, (0, 1), lambda H, G: (
-            np.abs(G) >= speed_target) & (H >= value_target))
+    for side in (+1.0,) if h.symmetric else (+1.0, -1.0):
+        edge, reach = bounds[side > 0], side * inner[side > 0]
+        if edge is not None:
+            value_cap = max(5.0, abs(float(h.value(0.8 * edge))))
+            core = full = first_reach(h, side, reach, (0,),
+                                      lambda H: np.abs(H) >= value_cap)
+        else:
+            core = first_reach(h, side, reach, (1,),
+                               lambda G: np.abs(G) >= speed_target)
+            full = first_reach(h, side, reach, (0, 1), lambda H, G: (
+                np.abs(G) >= speed_target) & (H >= value_target))
         caps[side] = side * core, side * full
     core_max, pmax = caps[+1.0]
     if h.symmetric:
@@ -386,38 +397,23 @@ def solve_hj(h: Hamiltonian, grid: HJGrid) -> FieldHistory:
         core_min, pmin = caps[-1.0]
         tab = HTable(h, _table_knots(pmin, pmax, core_min, core_max))
     table_s = time.perf_counter() - start
-    fields, stats = _march(tab, grid, h.symmetric)
+    fields, stats = _march(tab, grid, h.symmetric, bounds)
+    lipschitz = "+lipschitz" if bounds != (None, None) else ""
     return FieldHistory(fields=fields, meta={
-        "scheme": f"eno2-godunov-ssprk{_STAGES}2", "n": grid.n, "A": grid.A,
-        "p_min": pmin, "p_max": pmax, "table_s": table_s, **stats})
+        "scheme": f"eno2-godunov-ssprk{_STAGES}2{lipschitz}", "n": grid.n,
+        "A": grid.A, "slope_bounds": bounds, "p_min": pmin, "p_max": pmax,
+        "table_s": table_s, **stats})
 
 
 def solve_hj_constrained(h: Hamiltonian, beta0, grid: HJGrid) \
         -> FieldHistory:
-    """Gradient-constrained evolution for critical Hamiltonians."""
-    start = time.perf_counter()
+    """solve_hj for an H with dom H = (-beta0, beta0), which it checks."""
     if not 0 < beta0 < math.inf:
         raise ValidationError("beta0 must be positive and finite")
-    edge = _inner_domain((-beta0, beta0))[1]
-    t_first = grid.snapshots[0]
-    # Clamp slopes well inside dom H.  The working cap keeps H(p_cap)
-    # small enough that the untouched beta0-ramp loses only O(t_first)
-    # while the rarefaction fan from the boundary is exact inside its
-    # reach; both effects stay well below the verification tolerances.
-    value_cap = max(5.0, abs(float(h.value(0.8 * beta0))))
-    pmax = first_reach(h, +1.0, edge, (0,), lambda H: np.abs(H) >= value_cap)
-    if h.symmetric:
-        pmin = -pmax
-        tab = _even_table(h, np.linspace(0.0, pmax, _TABLE_SIZE // 2 + 1))
-    else:
-        pmin = max(-pmax, _inner_domain(h.domain)[0])
-        tab = HTable(h, np.linspace(pmin, pmax, _TABLE_SIZE))
-    table_s = time.perf_counter() - start
-    fields, stats = _march(tab, grid, h.symmetric, sweep_beta=beta0)
-    return FieldHistory(fields=fields, meta={
-        "scheme": f"eno2-godunov-ssprk{_STAGES}2+lipschitz", "n": grid.n,
-        "A": grid.A, "beta0": beta0, "p_min": pmin, "p_max": pmax,
-        "table_s": table_s, **stats})
+    if tuple(h.domain) != (-beta0, beta0):
+        raise ValidationError(
+            f"beta0 = {beta0} contradicts dom H = {tuple(h.domain)}")
+    return solve_hj(h, grid)
 
 
 def lax_oleinik_field(L, grid: HJGrid, t) -> Field:

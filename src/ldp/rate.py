@@ -2,9 +2,12 @@
 
 I_inf(x, t) = min_{y on the unit sphere} t L((x - y)/t) is the limiting
 rescaled cost of the exterior data reaching the point x by time t, and the
-Lax-Oleinik field I^A = min(A, I_inf) is the explicit viscosity solution the
-finite-difference solver is checked against.  predict_log_bound gives the
-regime-specific exponent of sup |u - u_R| for the truncation experiments.
+Lax-Oleinik field I^A = min(A, I_inf) is the field the finite-difference
+solver is checked against: its viscosity solution where H >= 0 at the
+optimal p (every even H); elsewhere that solution takes the min over exit
+times s <= t of s L((x - y)/s) and lies below I^A by up to t (-min H).
+predict_log_bound gives the regime-specific exponent of sup |u - u_R| for
+the truncation experiments.
 """
 
 from __future__ import annotations

@@ -24,6 +24,9 @@ a dense matrix exponential, the reference for a solver exact in time.
 hj_scheme_march is the ENO2-Godunov scheme with an SSPRK(s,2) time step
 (Heun at s = 2) for u_t + H(u_x) = 0 on (-1, 1), written node by node in
 plain Python floats, the reference for the array march of the HJ solvers.
+
+exit_time_field is the exact viscosity solution of that boundary problem,
+the exit-time value function, by a brute-force sup over a p-grid.
 """
 
 import math
@@ -182,9 +185,12 @@ def hj_scheme_march(ps, Hv, n, A, snapshots, beta=None, cfl=0.9, stages=2):
       least H;
     - SSPRK(s,2), s = stages (s = 2 is Heun): s Euler substeps of
       dt / (s - 1) from u into u1, then (u + (s - 1) u1) / s; with beta,
-      the beta-Lipschitz projection (boundary set to 0, then a running
-      minimum of u_k + beta h |j - k| from each side) after the first
-      substep and after the average, and once on the initial data;
+      the Lipschitz projection (boundary set to 0, then a running minimum
+      of u_k + b h |j - k| over k <= j with b = hi, enforcing u_x <= hi,
+      and over k >= j with b = -lo, enforcing u_x >= lo) after the first
+      substep and after the average, and once on the initial data.  beta
+      is the pair (lo, hi), None for a side without a bound, or a number
+      b for (-b, b);
     - dt = (s - 1) cfl h / max|H'| over the two table cells holding the
       smallest and the largest slope of the first substep (the cell of p
       ends at the first knot >= p), cut to land on each snapshot.
@@ -194,6 +200,12 @@ def hj_scheme_march(ps, Hv, n, A, snapshots, beta=None, cfl=0.9, stages=2):
     """
     ps, Hv = [float(p) for p in ps], [float(v) for v in Hv]
     h = 2.0 / (n + 1)
+    lo, hi = (-beta, beta) if isinstance(beta, (int, float)) else (
+        beta or (None, None))
+    sweeps = [(order, b) for order, b in (
+        (range(n + 2), hi),
+        (range(n + 1, -1, -1), None if lo is None else -lo))
+        if b is not None]
     m = len(ps)
     pstar = ps[min(range(m), key=lambda k: (Hv[k], k))]
     cell_speed = [abs((Hv[k + 1] - Hv[k]) / (ps[k + 1] - ps[k]))
@@ -228,13 +240,13 @@ def hj_scheme_march(ps, Hv, n, A, snapshots, beta=None, cfl=0.9, stages=2):
         return out
 
     def project(v):
-        if beta is None:
+        if not sweeps:
             return v
         v = [0.0] + v[1:-1] + [0.0]
-        for order in (range(n + 2), range(n + 1, -1, -1)):
+        for order, b in sweeps:
             low = math.inf
             for k, j in enumerate(order):
-                ramp = beta * h * k
+                ramp = b * h * k
                 low = min(low, v[j] - ramp)
                 v[j] = ramp + low
         return v
@@ -261,3 +273,30 @@ def hj_scheme_march(ps, Hv, n, A, snapshots, beta=None, cfl=0.9, stages=2):
         t = target
         out.append(u)
     return out, steps
+
+
+def exit_time_field(H, A, x, t, ps):
+    """The viscosity solution of u_t + H(u_x) = 0 on (-1, 1), u = A inside
+    at time 0 and u = 0 on the boundary, at the points x and time t, for a
+    convex H with H(0) = 0 (vectorised), by a brute-force sup over the
+    slopes ps.
+
+    It is the exit-time value function min(A, min over y = +-1 and
+    s <= t of s L((x - y) / s)) (Bardi & Capuzzo-Dolcetta, Optimal Control
+    and Viscosity Solutions of HJB Equations, 1997, ch. IV).  By minimax,
+    min over s <= t of sup_p [p d - s H(p)] = sup_p [p d - t max(H, 0)],
+    so it is the Lax-Oleinik field of H+ = max(H, 0):
+
+        u(x, t) = min(A, min over y = +-1 of max over p in ps of
+                  p (x - y) - t max(H(p), 0)).
+
+    When min H < 0 this lies below the fixed-time field min(A, t L(d/t)),
+    near the outflow boundary by up to t (-min H).  ps must hold the
+    maximisers (and a p with H(p) <= 0); a grid misses each sup by at most
+    the drop of p d - t H+ across the cell that holds it.
+    """
+    ps = np.asarray(ps, dtype=float)
+    cost = t * np.maximum(H(ps), 0.0)
+    return np.array([min(A, *(float(np.max(ps * (xi - y) - cost))
+                              for y in (-1.0, 1.0)))
+                     for xi in np.asarray(x, dtype=float)])

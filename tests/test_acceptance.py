@@ -14,7 +14,7 @@ import pytest
 from ldp import (Field, Hamiltonian, HamiltonianParams, HJGrid, Lagrangian,
                  SimConfig, build_kernel, conjugate, eval_h_ess, k_inverse,
                  lax_oleinik_field, rate_iinf, run_sweep, simulate, solve_hj,
-                 solve_hj_constrained, sup_difference)
+                 sup_difference)
 
 
 import _verdicts
@@ -159,7 +159,7 @@ def test_criterion_04_hj_vs_hopf_lax(quadratic_h, compact_h):
 def test_criterion_05_constrained_critical_solver(critical_h):
     beta0, A = 1.0, 10.0
     grid = HJGrid(n=399, T=1.0, A=A, snapshots=[1e-3, 1.0])
-    hist = solve_hj_constrained(critical_h, beta0, grid)
+    hist = solve_hj(critical_h, grid)
     h = grid.h
     x = grid.x
     slope_worst = max(float(np.max(np.abs(np.diff(f.values)) / h))

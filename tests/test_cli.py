@@ -25,6 +25,11 @@ def critical_spec(kernel_spec_path):
 
 
 @pytest.fixture
+def demo_spec(kernel_spec_path):
+    return kernel_spec_path({"family": "asymmetric_1d_demo"}, "demo.json")
+
+
+@pytest.fixture
 def exp_power_spec(kernel_spec_path):
     return kernel_spec_path({"family": "exp_power",
                              "params": {"alpha": 2.0}}, "exp_power.json")
@@ -74,9 +79,8 @@ def test_scalar_p_for_2d_kernel_exit_code(kernel_spec_path, capsys):
     assert err["error"] == "ValidationError"
 
 
-def test_unsupported_kernel_exit_code(kernel_spec_path, capsys):
-    demo = kernel_spec_path({"family": "asymmetric_1d_demo"}, "demo.json")
-    assert main(["kinv", "--kernel", demo, "--z", "1"]) == 3
+def test_unsupported_kernel_exit_code(demo_spec, capsys):
+    assert main(["kinv", "--kernel", demo_spec, "--z", "1"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UnsupportedKernel"
 
@@ -101,7 +105,8 @@ def test_hj_csv(compact_spec, tmp_path):
     assert np.all(vals >= 0.0) and np.all(vals <= 2.0)
 
 
-@pytest.mark.parametrize("spec", ["compact_spec", "critical_spec"])
+@pytest.mark.parametrize("spec", ["compact_spec", "critical_spec",
+                                  "demo_spec"])
 def test_hj_csv_carries_the_march_stats(spec, request, tmp_path):
     out = str(tmp_path / "hj.csv")
     assert main(["hj", "--kernel", request.getfixturevalue(spec), "--A", "2",
@@ -110,6 +115,12 @@ def test_hj_csv_carries_the_march_stats(spec, request, tmp_path):
                 .splitlines() if l.startswith("# "))
     assert int(meta["steps"]) > 0
     assert 0 < float(meta["dt_min"]) <= float(meta["dt_max"]) <= 0.5
+    if spec == "demo_spec":
+        # dom H = (-1, inf) bounds one side.  The march takes 103 steps;
+        # a table that ran up to the edge p = -1, where |H'| blows up,
+        # would cut dt to ~1e-10 and take millions
+        assert meta["slope_bounds"] == "(-1.0, None)"
+        assert int(meta["steps"]) <= 500
 
 
 def test_sweep_deterministic_and_reingestable(compact_spec, tmp_path):

@@ -7,19 +7,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldp.hj
-from _oracles import hj_scheme_march
-from ldp import (CFLViolation, DomainViolation, Hamiltonian, HJGrid,
-                 Lagrangian, ValidationError, lax_oleinik_field, solve_hj,
+from _oracles import exit_time_field, hj_scheme_march
+from ldp import (CFLViolation, Hamiltonian, HJGrid, Lagrangian,
+                 ValidationError, lax_oleinik_field, solve_hj,
                  solve_hj_constrained)
 from ldp.hamiltonian import HTable
 
 
-def quadratic_h(drift=0.0, symmetric=True):
-    """(p - drift)^2 / 2, declared even or not."""
+def quadratic_h(drift=0.0, symmetric=True, domain=(-math.inf, math.inf)):
+    """(p - drift)^2 / 2 on `domain`, declared even or not."""
     return Hamiltonian.from_callables(
         value=lambda p: 0.5 * (float(np.ravel(p)[0]) - drift) ** 2,
         grad=lambda p: np.atleast_1d(np.asarray(p, dtype=float)) - drift,
-        hess=lambda p: 1.0, symmetric=symmetric)
+        hess=lambda p: 1.0, domain=domain, symmetric=symmetric)
+
+
+def levy_quadratic(b):
+    """p^2/2 + b p, the H of Brownian motion with drift -b: H(0) = 0, and
+    min H = -b^2/2 < 0 for b != 0."""
+    def value(p):
+        s = float(np.ravel(p)[0])
+        return 0.5 * s * s + b * s
+    return Hamiltonian.from_callables(
+        value=value,
+        grad=lambda p: np.atleast_1d(np.asarray(p, dtype=float)) + b,
+        hess=lambda p: 1.0, symmetric=b == 0)
+
+
+def demo_closed_form(p):
+    """H of the asymmetric demo kernel (Exp(1) jumps to the left, U[0, 1]
+    to the right, each at rate 1/2) on dom H = (-1, inf)."""
+    p = np.asarray(p, dtype=float)
+    q = np.where(p == 0.0, 1.0, p)
+    return 0.5 * (1.0 / (1.0 + p) - 1.0) + 0.5 * np.where(
+        p == 0.0, 0.0, np.expm1(q) / q - 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -168,17 +189,22 @@ def test_each_substep_meets_the_euler_bound_at_its_step_start_speed(
     assert max(cfl) >= ldp.hj._CFL - 1e-9
 
 
-def test_critical_steepness_rejected(critical_h):
-    # |DH| stays below beta0 = 1, so a jump of height A = 10 cannot be
-    # transported across a unit interval by the unconstrained march
-    with pytest.raises(DomainViolation):
-        solve_hj(critical_h, HJGrid(n=99, T=1.0, A=10.0))
+def test_the_constrained_solver_forwards_to_solve_hj(critical_h):
+    # dom H = (-1, 1) gives both sides the Lipschitz bound beta0 = 1
+    grid = HJGrid(n=99, T=1.0, A=10.0, snapshots=[0.01, 1.0])
+    hist = solve_hj(critical_h, grid)
+    fwd = solve_hj_constrained(critical_h, 1.0, grid)
+    assert hist.meta["slope_bounds"] == (-1.0, 1.0)
+    assert hist.meta["scheme"].endswith("+lipschitz")
+    assert hist.meta["steps"] == fwd.meta["steps"]
+    for f, g in zip(hist.fields, fwd.fields):
+        assert f.values.tobytes() == g.values.tobytes()
 
 
 def test_constrained_slope_bound(critical_h):
     beta0 = 1.0
     grid = HJGrid(n=199, T=1.0, A=10.0, snapshots=[0.25, 1.0])
-    hist = solve_hj_constrained(critical_h, beta0, grid)
+    hist = solve_hj(critical_h, grid)
     h = grid.h
     for f in hist.fields:
         slopes = np.abs(np.diff(f.values)) / h
@@ -200,7 +226,7 @@ def test_constrained_solve_reads_h_only():
 
     h = Hamiltonian.from_callables(value=value, grad=grad,
                                    hess=lambda p: 2.0, domain=(-1.0, 1.0))
-    hist = solve_hj_constrained(h, 1.0, HJGrid(n=49, T=0.5, A=2.0))
+    hist = solve_hj(h, HJGrid(n=49, T=0.5, A=2.0))
     assert grads == []
     assert hist.meta["steps"] > 0
     assert 0 < hist.meta["dt_min"] <= hist.meta["dt_max"] <= 0.5
@@ -222,6 +248,69 @@ def test_lax_oleinik_field_matches_pointwise():
     for i in [1, 10, 25, 40, 48]:
         ref = lax_oleinik(L, grid.A, grid.x[i], 0.5).value
         assert f.values[i] == pytest.approx(ref, abs=1e-9)
+
+
+# slopes for the exit-time oracle: the demo's dom H = (-1, inf), dense
+# towards its edge, and a range around the drifted quadratic's maximisers
+_DEMO_PS = np.concatenate([-1.0 + np.geomspace(1e-4, 1.0, 20001)[:-1],
+                           np.linspace(0.0, 30.0, 30001)])
+_LEVY_PS = np.linspace(-20.0, 20.0, 80001)
+
+
+def _exit_time_errors(h, H, ps, A, times, ns):
+    """sup |u - oracle| per (n, t) of solve_hj on H = h."""
+    errs = {}
+    for n in ns:
+        grid = HJGrid(n=n, T=max(times), A=A, snapshots=list(times))
+        hist = solve_hj(h, grid)
+        for t in times:
+            exact = exit_time_field(H, A, grid.x, t, ps)
+            errs[n, t] = float(np.max(np.abs(hist.at_time(t).values - exact)))
+    return errs
+
+
+def test_demo_closed_form_is_the_kernels_h(demo_kernel):
+    ps = np.linspace(-0.99, 20.0, 777)
+    exact = demo_closed_form(ps)
+    engine = Hamiltonian.from_kernel(demo_kernel).batch(ps)[0]
+    assert np.max(np.abs(engine - exact) / np.maximum(1.0, np.abs(exact))) \
+        <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["demo", "levy-drifted"])
+def test_field_matches_the_exit_time_oracle(case, demo_kernel):
+    # dom H = (-1, inf) bounds u_x >= -1 alone (demo); p^2/2 + p/2 is open
+    # on both sides, with p* = -1/2 (levy-drifted).  Under C4's 0.05 at the
+    # coarsest n, and falling as n doubles.
+    if case == "demo":
+        ns, times = (99, 199, 399), (0.1, 0.5)
+        errs = _exit_time_errors(Hamiltonian.from_kernel(demo_kernel),
+                                 demo_closed_form, _DEMO_PS, 2.0, times, ns)
+    else:
+        ns, times = (199, 399), (0.5, 1.0)
+        errs = _exit_time_errors(levy_quadratic(0.5),
+                                 lambda p: 0.5 * p * p + 0.5 * p, _LEVY_PS,
+                                 3.0, times, ns)
+    for t in times:
+        assert errs[ns[0], t] <= 0.05
+        for coarse, fine in zip(ns, ns[1:]):
+            assert errs[fine, t] < errs[coarse, t]
+
+
+def test_exit_time_oracle_against_the_fixed_time_field():
+    # where H >= 0 the two coincide; when min H < 0 the exit-time field
+    # lies below min(A, t L(d/t)), by at most t (-min H) = t b^2 / 2
+    grid, t = HJGrid(n=99, T=1.0, A=3.0), 1.0
+    even = exit_time_field(lambda p: 0.5 * p * p, 3.0, grid.x, t, _LEVY_PS)
+    fixed = lax_oleinik_field(Lagrangian(quadratic_h()), grid, t).values
+    assert np.max(np.abs(even - fixed)) <= 1e-6
+    b = 0.5
+    drifted = exit_time_field(lambda p: 0.5 * p * p + b * p, 3.0, grid.x,
+                              t, _LEVY_PS)
+    fixed = lax_oleinik_field(Lagrangian(levy_quadratic(b)), grid, t).values
+    gap = fixed - drifted
+    assert gap.min() >= -1e-6
+    assert gap.max() <= t * b * b / 2 + 1e-6
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -262,24 +351,29 @@ def tables(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["quadratic", "compact", "critical",
-                                  "quadratic-n50", "drifted"])
+                                  "quadratic-n50", "drifted", "demo"])
 def test_march_matches_the_node_by_node_scheme(case, compact_h, critical_h,
-                                               tables):
+                                               demo_kernel, tables):
     # the whole-grid oracle against the half march of an even H, on an
     # odd n (ghosts from nodes m - 1, m - 2) and an even n (from m, m - 1),
-    # and against the whole march of an uneven one
+    # and against the whole march of an uneven one, with a slope bound on
+    # both sides (critical), on the side of dom H's one finite edge (demo)
+    # or on neither
     n = 50 if case == "quadratic-n50" else 49
     if case == "critical":
         grid = HJGrid(n=n, T=0.5, A=10.0, snapshots=[0.01, 0.5])
-        hist, beta = solve_hj_constrained(critical_h, 1.0, grid), 1.0
+        h, beta = critical_h, (-1.0, 1.0)
     else:
         grid = HJGrid(n=n, T=0.5, A=3.0, snapshots=[0.25, 0.5])
         h = {"quadratic": quadratic_h(), "quadratic-n50": quadratic_h(),
              "compact": compact_h,
-             "drifted": quadratic_h(0.3, symmetric=False)}[case]
-        hist, beta = solve_hj(h, grid), None
+             "drifted": quadratic_h(0.3, symmetric=False),
+             "demo": Hamiltonian.from_kernel(demo_kernel)}[case]
+        beta = (-1.0, None) if case == "demo" else None
+    hist = solve_hj(h, grid)
+    assert hist.meta["slope_bounds"] == (beta or (None, None))
     tab, = tables
-    assert hist.meta["marched_nodes"] == (n if case == "drifted"
+    assert hist.meta["marched_nodes"] == (n if case in ("drifted", "demo")
                                           else (n + 1) // 2)
     ref, steps = hj_scheme_march(tab.ps, tab.Hv, grid.n, grid.A,
                                  grid.snapshots, beta=beta,
@@ -324,7 +418,7 @@ def test_an_even_h_is_read_on_one_side(solver, critical_h, tables,
     if solver == "plain":
         solve_hj(quadratic_h(), HJGrid(n=49, T=0.5, A=3.0))
     else:
-        solve_hj_constrained(critical_h, 1.0, HJGrid(n=49, T=0.5, A=2.0))
+        solve_hj(critical_h, HJGrid(n=49, T=0.5, A=2.0))
     tab, = tables
     assert sides and set(sides) == {1.0}
     half = tab.ps[tab.ps.size // 2:]
@@ -342,18 +436,20 @@ def _half_square_on(domain, symmetric):
 
 @pytest.mark.parametrize("solver", ["plain", "constrained"])
 @pytest.mark.parametrize("make, match", [
-    (lambda symmetric: quadratic_h(0.3, symmetric), r"H\(-"),
-    (functools.partial(_half_square_on, (-20.0, 40.0)), "domain")],
+    (lambda symmetric, domain: quadratic_h(0.3, symmetric, domain),
+     r"H\(-"),
+    (lambda symmetric, domain: _half_square_on((-20.0, 40.0), symmetric),
+     "domain")],
     ids=["uneven", "uneven-domain"])
 def test_an_uneven_h_declared_even_is_refused(solver, make, match):
-    def solve(h):
-        grid = HJGrid(n=49, T=0.5, A=0.5)
-        return (solve_hj(h, grid) if solver == "plain"
-                else solve_hj_constrained(h, 1.0, grid))
+    # plain: the quadratic open on both sides; constrained: on (-1, 1),
+    # which gives each side a finite edge, as (-20, 40) does in both
+    domain = (-math.inf, math.inf) if solver == "plain" else (-1.0, 1.0)
+    grid = HJGrid(n=49, T=0.5, A=0.5)
     with pytest.raises(ValidationError, match=match):
-        solve(make(symmetric=True))
+        solve_hj(make(True, domain), grid)
     # the same H declared uneven marches every node
-    assert solve(make(symmetric=False)).meta["marched_nodes"] == 49
+    assert solve_hj(make(False, domain), grid).meta["marched_nodes"] == 49
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,14 +509,15 @@ def test_fields_share_one_read_only_grid(quad_solution, critical_h):
     assert grid.x is x and HJGrid(n=199, T=2.0, A=1.0).x is x
     assert np.array_equal(x, np.linspace(-1.0, 1.0, 201))
     assert lax_oleinik_field(Lagrangian(quadratic_h()), grid, 0.5).x is x
-    con = solve_hj_constrained(critical_h, 1.0, HJGrid(
+    con = solve_hj(critical_h, HJGrid(
         n=49, T=0.5, A=2.0, snapshots=[0.25, 0.5]))
     assert all(f.x is con.fields[0].x for f in con.fields)
     assert not con.fields[0].x.flags.writeable
 
 
-@pytest.mark.parametrize("beta0", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("beta0", [math.nan, math.inf, -math.inf, 0.0, 0.5])
 def test_constrained_solver_rejects_a_bad_beta0(critical_h, beta0):
-    # nan and inf once failed inside H with "p must be finite"
+    # nan and inf once failed inside H with "p must be finite"; 0.5
+    # contradicts dom H = (-1, 1)
     with pytest.raises(ValidationError, match="beta0"):
         solve_hj_constrained(critical_h, beta0, HJGrid(n=49, T=0.5, A=1.0))
