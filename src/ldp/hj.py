@@ -52,18 +52,24 @@ march with no finite edge of dom H projects nothing.
 An even H (Hamiltonian.symmetric) is marched on the left half of the
 grid.  Its table is exactly even: H is evaluated on the knots p >= 0
 alone and mirrored, after three mirrored knots in the same batch check
-that H is even (a ValidationError if not).  The data are even too, and
-the scheme keeps them so: the ENO2 slopes at the mirror of a node are
--p+ and -p-, and for an even H (p* = 0) the Godunov flux of (-p+, -p-)
-is that of (p-, p+).  So the march computes nodes 1..m, m = ceil(n/2),
-and reads nodes m + 1 and m + 2 from two ghosts, copies of their mirrors
-g and g - 1 (g = n - m: m - 1 for odd n, m for even n), which one slice
-copy refreshes after each Euler substep; a substep touches m + 2 nodes.
-Each snapshot is assembled by reflection.  An uneven H runs the same code
-on every node: m = n and no ghosts.  Measured as march_s per Euler
-substep (best of five solves, one core of a 2-core x86-64 host), the
-hj_fields solves at n = 399, 799 and 1599 take 14-15, 19 and 24-25 us,
-of which the two np.interp lookups take 5, 7-8 and 11-12 us.
+that H is even, and the knots' values that it does not fall on p >= 0
+(a ValidationError if not).  The data are even too, and the scheme keeps
+them so: the ENO2 slopes at the mirror of a node are -p+ and -p-, and for
+an even H (p* = 0) the Godunov flux of (-p+, -p-) is that of (p-, p+).
+So the march computes nodes 1..m, m = ceil(n/2), and reads nodes m + 1
+and m + 2 from two ghosts, copies of their mirrors g and g - 1
+(g = n - m: m - 1 for odd n, m for even n), which one slice copy
+refreshes after each Euler substep; a substep touches m + 2 nodes.  Each
+snapshot is assembled by reflection.  An uneven H runs the same code on
+every node: m = n and no ghosts.  H rising on p >= 0 folds an even H's
+flux into one lookup, Hhat = H(max(p-, -p+, 0)), the 1-D upwind form of
+Rouy & Tourin (SIAM J. Numer. Anal. 29, 1992): the second slope row
+holds -h p+, and a substep looks the rows' maximum up in the half table
+at and above 0, twelve calls with the ghost copy.  Measured as march_s
+per Euler substep (best of five solves, one core of a 2-core x86-64
+host), the hj_fields solves at n = 399, 799 and 1599 take 11, 15-16 and
+18 us, the lookup 3, 5 and 7 us of it (13, 19 and 23-24 us with two
+lookups of 5, 8 and 11-13 us).
 
 H is tabulated (one batched HTable) on a finite slope range
 [p_min, p_max] and held constant beyond it, which clamps the slopes fed
@@ -209,6 +215,11 @@ def _even_table(h: Hamiltonian, half):
         raise ValidationError(
             f"H is declared even, but H({-p:.6g}) = {mirror[j]:.17g} "
             f"and H({p:.6g}) = {Hv[k[j]]:.17g}")
+    j = int(np.argmax(np.diff(Hv) < 0)) + 1  # the first knot where H falls
+    if Hv[j] < Hv[j - 1]:
+        raise ValidationError(
+            f"H is declared even, but falls on p >= 0: H({half[j]:.6g}) = "
+            f"{Hv[j]:.17g} < H({half[j - 1]:.6g}) = {Hv[j - 1]:.17g}")
     return HTable(h, np.concatenate([-half[:0:-1], half]),
                   np.concatenate([Hv[:0:-1], Hv]))
 
@@ -224,12 +235,13 @@ def _march(tab: HTable, grid: HJGrid, even, bounds=(None, None)):
     which hold dt / (s - 1) times H from one multiply per step, the
     maximum of the two and the update of u1.  For an even H (`even`, with
     the exactly even table of _even_table) it marches the nodes 1..m,
-    m = ceil(n/2), of even data: a slice copy after each substep
+    m = ceil(n/2), of even data, keeping -h p+ in the second slope row:
+    the rows' maximum, one lookup, the update and a slice copy that
     refreshes the ghosts m + 1, m + 2 from their mirrors g, g - 1
-    (g = n - m), and the Lipschitz projection sweeps nodes 0..m, which is
-    exact for even u, then refreshes them too.  An uneven H marches all n
-    nodes (m = n, no ghosts).  `bounds` are the slope bounds (lo, hi),
-    None for an open side, which the projection enforces."""
+    (g = n - m) make its twelve.  The Lipschitz projection sweeps nodes
+    0..m, which is exact for even u, then refreshes them too.  An uneven H
+    marches all n nodes (m = n, no ghosts).  `bounds` are the slope bounds
+    (lo, hi), None for an open side, which the projection enforces."""
     start = time.perf_counter()
     n, h, dt_fixed = grid.n, grid.h, grid.dt
     ps, Hv = tab.ps, tab.Hv
@@ -252,10 +264,11 @@ def _march(tab: HTable, grid: HJGrid, even, bounds=(None, None)):
     ad2 = np.empty(m + 2)
     pick = np.empty(m + 1, dtype=bool)  # ENO2: the left d2 is smaller
     c = np.empty(m + 1)             # half the smaller second difference
-    P = np.empty((2, m))            # rows h p- and h p+
+    P = np.empty((2, m))            # rows h p- and h p+ (-h p+ if even)
     p_minus, p_plus = P
     du_next, du_prev = du[1:], du[:-1]
     du_l, du_r, c_l, c_r = du[:m], du[1:m + 1], c[:-1], c[1:]
+    plus_terms = (c_r, du_r) if even else (du_r, c_r)
     d2_in, d2_l, d2_r = d2[1:size - 1], d2[:-1], d2[1:]
     ad2_l, ad2_r = ad2[:-1], ad2[1:]
     u = np.zeros(size)              # u = 0 on the boundary,
@@ -277,13 +290,17 @@ def _march(tab: HTable, grid: HJGrid, even, bounds=(None, None)):
         # np.where's temporary beats a masked multiply into c
         np.multiply(np.where(pick, d2_l, d2_r), 0.5, out=c)
         np.add(du_l, c_l, out=p_minus)
-        np.subtract(du_r, c_r, out=p_plus)
+        np.subtract(*plus_terms, out=p_plus)
 
     def euler(v_in):
         # u1 = v - dt Hhat(p-, p+) at the marched nodes, from the slopes
-        # in P and dt H in F; the half tables clamp the slopes at p*
+        # in P and dt H in F; the half tables clamp the slopes at p*, and
+        # an even H's Hhat is one lookup at max(p-, -p+), put in row p-
+        if even:
+            np.maximum(p_minus, p_plus, out=p_minus)
         f = np.interp(p_minus, ks_up, F_up)
-        np.maximum(f, np.interp(p_plus, ks_down, F_down), out=f)
+        if not even:
+            np.maximum(f, np.interp(p_plus, ks_down, F_down), out=f)
         np.subtract(v_in, f, out=u1_in)
         if even:
             u1_ghosts[:] = u1_mirrors
@@ -326,10 +343,10 @@ def _march(tab: HTable, grid: HJGrid, even, bounds=(None, None)):
     steps, clamped, dt_min, dt_max = 0, 0, math.inf, 0.0
     for target in grid.snapshots:
         tol = 1e-12 * max(1.0, target)
-        while True:
+        while abs(t - target) > tol:    # none for a repeated time
             slopes(u_r, u_l)
             lo, hi = float(P.min()) / h, float(P.max()) / h
-            if even:                # the mirrors' slopes are -p+, -p-
+            if even:                # the rows p-, -p+ and their mirrors
                 lo, hi = min(lo, -hi), max(hi, -lo)
             clamped += lo < p_lo or hi > p_hi
             # H' is monotone, so the extreme slopes carry the top speed
@@ -349,8 +366,6 @@ def _march(tab: HTable, grid: HJGrid, even, bounds=(None, None)):
             t += dt
             steps += 1
             dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-            if abs(t - target) <= tol:
-                break
         t = target
         fields.append(Field(x=grid.x, t=t, values=u[order]))
     return fields, {"steps": steps, "dt_min": float(dt_min),

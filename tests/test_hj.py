@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,9 +149,9 @@ def test_each_substep_meets_the_euler_bound_at_its_step_start_speed(
         monkeypatch):
     # each step's s Euler substeps of dt / (s - 1) obey the bound of one
     # Euler step at the speed that set dt.  The march looks the Godunov
-    # terms up in the halves of a table of dt H, first the half at and
-    # above p* = argmin H, then the half at and below it, so each half
-    # over the same half of H gives the substep's length.
+    # flux of this even H up once per substep, in the half of a table of
+    # dt H at and above p* = argmin H = 0, so each lookup's table over
+    # the same half of H gives the substep's length.
     s = ldp.hj._STAGES
     speeds, tables, halves = [], [], []
 
@@ -169,20 +170,20 @@ def test_each_substep_meets_the_euler_bound_at_its_step_start_speed(
     assert hist.meta["stages"] == s
     assert hist.meta["scheme"] == f"eno2-godunov-ssprk{s}2"
     assert len(speeds) == hist.meta["steps"]
-    assert len(halves) == 2 * s * len(speeds)
+    assert len(halves) == s * len(speeds)
     Hv = tables[0].Hv
     assert all(tab.Hv is Hv for tab in tables)
-    i = int(np.argmin(Hv))
+    flux = Hv[int(np.argmin(Hv)):]
+    assert flux.size == Hv.size // 2 + 1
+    j = int(np.argmax(np.abs(flux)))
+    assert flux[j] != 0
     subs = []
-    for k, scaled in enumerate(halves):
-        flux = Hv[i:] if k % 2 == 0 else Hv[:i + 1]
+    for scaled in halves:
         assert scaled.shape == flux.shape
-        j = int(np.argmax(np.abs(flux)))
-        assert flux[j] != 0
         subs.append(scaled[j] / flux[j])
     cfl = []
     for k, top in enumerate(speeds):
-        step = subs[2 * s * k:2 * s * (k + 1)]
+        step = subs[s * k:s * (k + 1)]
         assert max(step) - min(step) <= 1e-14 * max(step)
         cfl.append(max(step) * top / grid.h)
     assert max(cfl) <= ldp.hj._CFL + 1e-12
@@ -383,20 +384,51 @@ def test_march_matches_the_node_by_node_scheme(case, compact_h, critical_h,
         assert np.max(np.abs(f.values - np.array(values))) <= 1e-12
 
 
-def test_two_half_table_lookups_per_euler_stage(monkeypatch):
-    # an even H marches the nodes 1..(n + 1) // 2, an uneven one all n
+def test_half_table_lookups_per_euler_stage(monkeypatch):
+    # an even H marches the nodes 1..(n + 1) // 2 with one lookup per
+    # substep, an uneven one all n with one lookup in each half table
     calls = []
 
     def interp(*args, _np_interp=np.interp):
         calls.append(args[0].shape)
         return _np_interp(*args)
     monkeypatch.setattr(np, "interp", interp)
-    for h, shape in ((quadratic_h(), (25,)),
-                     (quadratic_h(0.3, symmetric=False), (49,))):
+    for h, shape, lookups in ((quadratic_h(), (25,), 1),
+                              (quadratic_h(0.3, symmetric=False), (49,), 2)):
         calls.clear()
         hist = solve_hj(h, HJGrid(n=49, T=0.5, A=3.0))
-        assert len(calls) == 2 * ldp.hj._STAGES * hist.meta["steps"]
+        assert len(calls) == lookups * ldp.hj._STAGES * hist.meta["steps"]
         assert set(calls) == {shape}
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["even", "uneven"])
+def test_a_repeated_snapshot_time_takes_no_step(symmetric):
+    # the march emits a snapshot it has already reached without a step of
+    # dt = 0, which would count as a step and set dt_min to 0
+    h = quadratic_h(0.0 if symmetric else 0.3, symmetric=symmetric)
+    once = solve_hj(h, HJGrid(n=49, T=0.5, A=1.0, snapshots=[0.5]))
+    twice = solve_hj(h, HJGrid(n=49, T=0.5, A=1.0, snapshots=[0.5, 0.5]))
+    assert twice.meta["steps"] == once.meta["steps"]
+    assert twice.meta["dt_min"] == once.meta["dt_min"] > 0
+    assert [f.t for f in twice.fields] == [0.5, 0.5]
+    for f in twice.fields:
+        assert np.array_equal(f.values, once.fields[0].values)
+
+
+def test_an_even_h_that_falls_on_p_ge_0_is_refused():
+    # 1 - cos p is even but falls past pi, where one lookup at
+    # max(p-, -p+) is no longer the Godunov flux; the message names the
+    # first knot past the fall
+    h = Hamiltonian.from_callables(
+        value=lambda p: 1.0 - math.cos(float(np.ravel(p)[0])),
+        grad=lambda p: np.sin(np.atleast_1d(np.asarray(p, dtype=float))),
+        hess=lambda p: math.cos(float(np.ravel(p)[0])),
+        domain=(-4.0, 4.0), symmetric=True)
+    with pytest.raises(ValidationError, match="falls on p >= 0") as err:
+        solve_hj(h, HJGrid(n=49, T=0.5, A=1.0))
+    knot, before = (float(v) for v in
+                    re.findall(r"H\(([-\d.e+]+)\) =", str(err.value)))
+    assert before < math.pi < knot < before + 0.01
 
 
 @pytest.mark.parametrize("solver", ["plain", "constrained"])
@@ -483,6 +515,35 @@ def test_the_half_tables_are_the_clamp_at_pstar(k, frac, wild):
     down = np.interp(x, ks[:i + 1], F[:i + 1])
     assert up.tobytes() == np.interp(np.maximum(x, star), ks, F).tobytes()
     assert down.tobytes() == np.interp(np.minimum(x, star), ks, F).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaps=st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=30),
+       rises=st.lists(st.floats(0.0, 1e3), min_size=30, max_size=30),
+       pairs=st.lists(st.tuples(st.floats(-1.25, 1.25),
+                                st.floats(-1.25, 1.25)),
+                      min_size=1, max_size=40))
+def test_one_folded_lookup_is_the_two_half_lookups(gaps, rises, pairs):
+    # on an exactly even table that does not fall on p >= 0, the lookup of
+    # max(p-, -p+) in the half at and above p* is the maximum of the
+    # lookups of p- there and of p+ in the half at and below p*, up to the
+    # rounding of interpolating from the other end of a cell: within 4 ulp
+    # of the cell's larger value (a search of 6M lookups found 2.06; near
+    # a knot where dt H = 0 that can be thousands of ulp of the result)
+    half = np.concatenate([[0.0], np.cumsum(gaps)])
+    Hv = np.concatenate([[0.0], np.cumsum(rises[:len(gaps)])])
+    ks = np.concatenate([-half[:0:-1], half])
+    F = np.concatenate([Hv[:0:-1], Hv])
+    i = int(np.argmin(F))
+    ks_up, F_up = ks[i:], F[i:]
+    p_minus, p_plus = (half[-1] * np.array(v) for v in zip(*pairs))
+    x = np.maximum(p_minus, -p_plus)
+    fold = np.interp(x, ks_up, F_up)
+    two = np.maximum(np.interp(p_minus, ks_up, F_up),
+                     np.interp(p_plus, ks[:i + 1], F[:i + 1]))
+    j = np.clip(np.searchsorted(ks_up, x, side="right"), 1, ks_up.size - 1)
+    top = np.maximum(F_up[j], F_up[j - 1])
+    assert np.all(np.abs(fold - two) <= 4 * np.spacing(top))
 
 
 def test_clamped_steps_count_the_steps_past_the_table(monkeypatch):
